@@ -121,10 +121,6 @@ def apply(b: Bijection, e):
     return _ruler_corner_encode(e)
 
 
-def _fwd_elem(b: Bijection):
-    return lambda e: apply(b, e)
-
-
 def _back_elem(b: Bijection):
     return lambda e: apply(invert(b), e)
 

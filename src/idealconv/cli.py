@@ -95,7 +95,7 @@ def parse_ideal(spec: str, default: Universe = Universe.NAT) -> Ideal:
     if name == "mac":
         try:
             return partition_ideal(partition_by_id(arg) if arg else RULER)
-        except (ValueError, E.FinitePartition) as e:
+        except ValueError as e:
             _fail(str(e))
     if name == "principal":
         if not arg:
@@ -110,7 +110,9 @@ def parse_ideal(spec: str, default: Universe = Universe.NAT) -> Ideal:
 def _parse_term(s: str) -> T.SetTerm:
     try:
         return S.term_from_obj(_load_json(s))
-    except ValueError as e:
+    except KeyError as e:
+        _fail(f"term is missing the key {e}")
+    except (ValueError, TypeError) as e:
         _fail(str(e))
 
 
@@ -301,33 +303,27 @@ def _cmd_conv(args) -> int:
     i = _need_ideal(args, "I", "base", f.universe)
     x = _need_target(args)
     want_star = args.cmd == "witness" or args.J is not None or "aux" in _fixture(args)
-    try:
-        if not want_star:
-            v = converges(f, i, x)
-            _emit(args, {"verdict": v.value}, [f"verdict: {v.value}"])
-            return _verdict_exit(args, v)
-        j = _need_ideal(args, "J", "aux", f.universe)
-        res = star_converges(f, i, j, x)
-        obj = S.star_to_obj(res)
-        lines = [f"verdict: {res.verdict.value}"]
-        if res.witness is not None:
-            lines.append(
-                f"witness: {S.canonical_dumps(S.term_to_obj(res.witness.m))}"
-            )
-        lines.append(f"reason: {res.reason}")
-        _emit(args, obj, lines)
-        return _verdict_exit(args, res.verdict)
-    except (E.UniverseMismatch, E.PreconditionViolated, E.AdmissibilityRequired) as e:
-        _fail(str(e))
+    if not want_star:
+        v = converges(f, i, x)
+        _emit(args, {"verdict": v.value}, [f"verdict: {v.value}"])
+        return _verdict_exit(args, v)
+    j = _need_ideal(args, "J", "aux", f.universe)
+    res = star_converges(f, i, j, x)
+    obj = S.star_to_obj(res)
+    lines = [f"verdict: {res.verdict.value}"]
+    if res.witness is not None:
+        lines.append(
+            f"witness: {S.canonical_dumps(S.term_to_obj(res.witness.m))}"
+        )
+    lines.append(f"reason: {res.reason}")
+    _emit(args, obj, lines)
+    return _verdict_exit(args, res.verdict)
 
 
 def _cmd_ap(args) -> int:
     i = _need_ideal(args, "I", "base", Universe.NAT)
     j = _need_ideal(args, "J", "aux", i.universe)
-    try:
-        v = additive_property(i, j)
-    except E.UniverseMismatch as e:
-        _fail(str(e))
+    v = additive_property(i, j)
     obj = {"status": v.status.value, "rule": v.rule}
     lines = [f"status: {v.status.value}", f"rule: {v.rule}"]
     if v.witness is not None:
@@ -488,7 +484,7 @@ def main(argv=None) -> int:
     except _Exit as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except E.SizeTooLarge as e:
+    except E.IdealConvError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

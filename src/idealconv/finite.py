@@ -113,9 +113,6 @@ class FiniteSpace:
     m: int
     opens: tuple
 
-    def opens_containing(self, x: int):
-        return [u for u in self.opens if u >> x & 1]
-
     def min_nbhd(self, x: int) -> int:
         out = (1 << self.m) - 1
         for u in self.opens:
@@ -421,6 +418,14 @@ def _spaces_upto(pts: int):
     return out
 
 
+def _fn_index(fn: tuple, m: int) -> int:
+    """Position of fn in _all_fns(len(fn), m): its digits in base m."""
+    idx = 0
+    for v in fn:
+        idx = idx * m + v
+    return idx
+
+
 def lemma_suite(n: int, max_points: int = 3) -> SuiteReport:
     """Exhaustively check the structural facts on universes of size n
     with codomain spaces of up to max_points points."""
@@ -428,23 +433,27 @@ def lemma_suite(n: int, max_points: int = 3) -> SuiteReport:
         raise SizeTooLarge("the fact suite is supported up to 4 points")
     ideals = enumerate_ideals(n)
     spaces = _spaces_upto(max_points)
+    fns_of = [_all_fns(n, sp.m) for sp in spaces]
     full = (1 << n) - 1
 
-    limits_tbl = {}
-
-    def limits_of(sp, fn, i):
-        key = (sp, fn, i.gen)
-        if key not in limits_tbl:
-            limits_tbl[key] = tuple(brute_i_limits(fn, i, sp))
-        return limits_tbl[key]
-
-    star_tbl = {}
-
-    def star_of(sp, fn, i, j, x):
-        key = (sp, fn, i.gen, j.gen, x)
-        if key not in star_tbl:
-            star_tbl[key] = brute_ihj(fn, i, j, sp, x)[0]
-        return star_tbl[key]
+    # Dense tables filled by the literal loops, indexed by the space's
+    # position in `spaces`, the sequence's position in _all_fns and the
+    # generator masks: lim[s][f][g] is the limit set as a bitmask over
+    # the points, star[s][f][x][gi << n | gj] the brute_ihj verdict.
+    lim = [
+        [[sum(1 << x for x in brute_i_limits(fn, i, sp)) for i in ideals] for fn in fns]
+        for sp, fns in zip(spaces, fns_of)
+    ]
+    star = [
+        [
+            [
+                bytes(brute_ihj(fn, i, j, sp, x)[0] for i in ideals for j in ideals)
+                for x in range(sp.m)
+            ]
+            for fn in fns
+        ]
+        for sp, fns in zip(spaces, fns_of)
+    ]
 
     claims = []
 
@@ -459,58 +468,58 @@ def lemma_suite(n: int, max_points: int = 3) -> SuiteReport:
     @claim("improper-ideal-absorbs-everything")
     def _c1():
         checked, bad = 0, []
-        imp = FiniteIdeal(n, full)
-        for sp in spaces:
-            for fn in _all_fns(n, sp.m):
-                lims = limits_of(sp, fn, imp)
+        for sp, fns, lim_s in zip(spaces, fns_of, lim):
+            for fn, row in zip(fns, lim_s):
                 checked += 1
-                if len(lims) != sp.m:
+                if row[full] != (1 << sp.m) - 1:
                     bad.append(f"sp={sp.opens} fn={fn}")
         return checked, bad
 
     @claim("limits-grow-with-the-ideal")
     def _c2():
         checked, bad = 0, []
-        for i1 in ideals:
-            for i2 in ideals:
-                if i1.gen & ~i2.gen:
+        for g1 in range(full + 1):
+            for g2 in range(full + 1):
+                if g1 & ~g2:
                     continue
-                for sp in spaces:
-                    for fn in _all_fns(n, sp.m):
+                for sp, fns, lim_s in zip(spaces, fns_of, lim):
+                    for fn, row in zip(fns, lim_s):
                         checked += 1
-                        if not set(limits_of(sp, fn, i1)) <= set(limits_of(sp, fn, i2)):
-                            bad.append(f"gens={i1.gen},{i2.gen} sp={sp.opens} fn={fn}")
+                        if row[g1] & ~row[g2]:
+                            bad.append(f"gens={g1},{g2} sp={sp.opens} fn={fn}")
         return checked, bad
 
     @claim("hausdorff-limits-unique")
     def _c3():
         checked, bad = 0, []
-        for sp in spaces:
+        for sp, fns, lim_s in zip(spaces, fns_of, lim):
             if not sp.is_hausdorff():
                 continue
             for i in ideals:
                 if not i.is_proper():
                     continue
-                for fn in _all_fns(n, sp.m):
+                for fn, row in zip(fns, lim_s):
                     checked += 1
-                    if len(limits_of(sp, fn, i)) > 1:
+                    if row[i.gen] & (row[i.gen] - 1):
                         bad.append(f"gen={i.gen} sp={sp.opens} fn={fn}")
         return checked, bad
 
     @claim("continuous-image-of-limits")
     def _c4():
         checked, bad = 0, []
-        for sp1 in spaces:
-            for sp2 in spaces:
+        for sp1, fns1, lim1 in zip(spaces, fns_of, lim):
+            for sp2, lim2 in zip(spaces, lim):
                 for tbl in continuous_tables(sp1, sp2):
-                    for fn in _all_fns(n, sp1.m):
-                        mfn = tuple(tbl[v] for v in fn)
-                        for i in ideals:
+                    img = [0]  # img[a]: the image of point mask a
+                    for x in range(sp1.m):
+                        img += [b | 1 << tbl[x] for b in img]
+                    for fn, row1 in zip(fns1, lim1):
+                        row2 = lim2[_fn_index([tbl[v] for v in fn], sp2.m)]
+                        for g in range(full + 1):
                             checked += 1
-                            img = {tbl[x] for x in limits_of(sp1, fn, i)}
-                            if not img <= set(limits_of(sp2, mfn, i)):
+                            if img[row1[g]] & ~row2[g]:
                                 bad.append(
-                                    f"map={tbl} gen={i.gen} sp={sp1.opens}->{sp2.opens} fn={fn}"
+                                    f"map={tbl} gen={g} sp={sp1.opens}->{sp2.opens} fn={fn}"
                                 )
         return checked, bad
 
@@ -520,25 +529,27 @@ def lemma_suite(n: int, max_points: int = 3) -> SuiteReport:
         for i in ideals:
             if not i.is_maximal():
                 continue
-            for sp in spaces:
-                for fn in _all_fns(n, sp.m):
+            for sp, fns, lim_s in zip(spaces, fns_of, lim):
+                for fn, row in zip(fns, lim_s):
                     checked += 1
-                    if not limits_of(sp, fn, i):
+                    if not row[i.gen]:
                         bad.append(f"gen={i.gen} sp={sp.opens} fn={fn}")
         return checked, bad
 
     @claim("aux-convergence-gives-star")
     def _c6():
         checked, bad = 0, []
-        for sp in spaces:
-            for fn in _all_fns(n, sp.m):
-                for j in ideals:
-                    for x in limits_of(sp, fn, j):
-                        for i in ideals:
+        for sp, fns, lim_s, star_s in zip(spaces, fns_of, lim, star):
+            for fn, row, star_f in zip(fns, lim_s, star_s):
+                for gj in range(full + 1):
+                    for x in range(sp.m):
+                        if not row[gj] >> x & 1:
+                            continue
+                        for gi in range(full + 1):
                             checked += 1
-                            if not star_of(sp, fn, i, j, x):
+                            if not star_f[x][gi << n | gj]:
                                 bad.append(
-                                    f"gens={i.gen},{j.gen} sp={sp.opens} fn={fn} x={x}"
+                                    f"gens={gi},{gj} sp={sp.opens} fn={fn} x={x}"
                                 )
         return checked, bad
 
@@ -546,16 +557,14 @@ def lemma_suite(n: int, max_points: int = 3) -> SuiteReport:
     def _c7():
         checked, bad = 0, []
         gens = [(a, b) for a in range(full + 1) for b in range(full + 1) if a & ~b == 0]
-        for sp in spaces:
-            for fn in _all_fns(n, sp.m):
-                for x in range(sp.m):
+        for sp, fns, star_s in zip(spaces, fns_of, star):
+            for fn, star_f in zip(fns, star_s):
+                for x, verdicts in enumerate(star_f):
                     for gi1, gi2 in gens:
-                        i1, i2 = FiniteIdeal(n, gi1), FiniteIdeal(n, gi2)
+                        r1, r2 = gi1 << n, gi2 << n
                         for gj1, gj2 in gens:
                             checked += 1
-                            if star_of(sp, fn, i1, FiniteIdeal(n, gj1), x) and not star_of(
-                                sp, fn, i2, FiniteIdeal(n, gj2), x
-                            ):
+                            if verdicts[r1 | gj1] and not verdicts[r2 | gj2]:
                                 bad.append(
                                     f"gens={gi1}<{gi2},{gj1}<{gj2} sp={sp.opens} fn={fn} x={x}"
                                 )
@@ -564,49 +573,49 @@ def lemma_suite(n: int, max_points: int = 3) -> SuiteReport:
     @claim("star-forces-base-when-aux-refines")
     def _c8():
         checked, bad = 0, []
-        for sp in spaces:
-            for fn in _all_fns(n, sp.m):
-                for i in ideals:
-                    for j in ideals:
-                        if j.gen & ~i.gen:
+        for sp, fns, lim_s, star_s in zip(spaces, fns_of, lim, star):
+            for fn, row, star_f in zip(fns, lim_s, star_s):
+                for gi in range(full + 1):
+                    for gj in range(full + 1):
+                        if gj & ~gi:
                             continue
                         for x in range(sp.m):
                             checked += 1
-                            if star_of(sp, fn, i, j, x) and x not in limits_of(sp, fn, i):
+                            if star_f[x][gi << n | gj] and not row[gi] >> x & 1:
                                 bad.append(
-                                    f"gens={i.gen},{j.gen} sp={sp.opens} fn={fn} x={x}"
+                                    f"gens={gi},{gj} sp={sp.opens} fn={fn} x={x}"
                                 )
         return checked, bad
 
     @claim("gap-function-when-aux-escapes-base")
     def _c9():
         checked, bad = 0, []
-        for i in ideals:
-            for j in ideals:
-                extra = j.gen & ~i.gen
+        for gi in range(full + 1):
+            for gj in range(full + 1):
+                extra = gj & ~gi
                 if not extra:
                     continue
                 a = extra & -extra
-                for sp in spaces:
+                for s, sp in enumerate(spaces):
                     for x in range(sp.m):
                         mn = sp.min_nbhd(x)
                         ys = [y for y in range(sp.m) if not (mn >> y & 1)]
                         if not ys:
                             continue
                         y = ys[0]
-                        fn = tuple(y if a >> k & 1 else x for k in range(n))
+                        f = _fn_index([y if a >> k & 1 else x for k in range(n)], sp.m)
                         checked += 1
-                        if not star_of(sp, fn, i, j, x):
-                            bad.append(f"gens={i.gen},{j.gen} sp={sp.opens} x={x}")
-                        elif x in limits_of(sp, fn, i):
-                            bad.append(f"base-converges gens={i.gen},{j.gen} sp={sp.opens} x={x}")
+                        if not star[s][f][x][gi << n | gj]:
+                            bad.append(f"gens={gi},{gj} sp={sp.opens} x={x}")
+                        elif lim[s][f][gi] >> x & 1:
+                            bad.append(f"base-converges gens={gi},{gj} sp={sp.opens} x={x}")
         return checked, bad
 
     @claim("star-matches-trace-restriction")
     def _c10():
         checked, bad = 0, []
-        for sp in spaces:
-            for fn in _all_fns(n, sp.m):
+        for sp, fns, star_s in zip(spaces, fns_of, star):
+            for fn, star_f in zip(fns, star_s):
                 for i in ideals:
                     for j in ideals:
                         for x in range(sp.m):
@@ -629,7 +638,7 @@ def lemma_suite(n: int, max_points: int = 3) -> SuiteReport:
                                 ):
                                     via_trace = True
                                     break
-                            if via_trace != star_of(sp, fn, i, j, x):
+                            if via_trace != star_f[x][i.gen << n | j.gen]:
                                 bad.append(
                                     f"gens={i.gen},{j.gen} sp={sp.opens} fn={fn} x={x}"
                                 )

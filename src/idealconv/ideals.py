@@ -206,7 +206,7 @@ def partition_incidence(p: Partition, t: SetTerm):
             r = n % p.modulus
             hit.add(r if r else p.modulus)
         for r in v.residues:
-            rr = r % p.modulus if p.period % p.modulus == 0 else None
+            rr = r % p.modulus if v.period % p.modulus == 0 else None
             if rr is None:
                 # period and modulus interleave; the class meets several
                 # residue blocks, enumerate one period worth of them

@@ -115,9 +115,6 @@ class IntervalSet:
             out.extend(range(lo, hi + 1))
         return out
 
-    def min_element(self):
-        return self.spans[0][0] if self.spans else None
-
     def truncate(self, bound: int):
         return [n for n in range(1, bound + 1) if self.contains(n)]
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import terms as T
-from .bijections import RULER_CORNER, invert
+from .bijections import RULER_CORNER
 from .convergence import diagonal_function
 from .functions import (
     Const,
@@ -45,7 +45,6 @@ __all__ = [
     "random_element",
     "random_term",
     "random_partition_member",
-    "catalog_ideals",
     "Fixture",
     "fixture_corpus",
 ]
@@ -132,31 +131,6 @@ def random_partition_member(
     if not parts:
         return T.empty(p.universe)
     return T.union(*parts)
-
-
-def catalog_ideals(universe: Universe) -> tuple:
-    """The named ideals the property sweeps run against."""
-    if universe is Universe.NAT:
-        odd = T.block(residues(2), 1)
-        return (
-            fin(Universe.NAT),
-            improper(Universe.NAT),
-            principal(T.tail(10)),
-            principal(T.union(T.finite_set(Universe.NAT, [1, 2, 3]), T.tail(20))),
-            partition_ideal(RULER),
-            trace_ideal(fin(Universe.NAT), odd),
-            pushforward(pringsheim(), invert(RULER_CORNER)),
-        )
-    return (
-        fin(Universe.NATPAIR),
-        improper(Universe.NATPAIR),
-        pringsheim(),
-        partition_ideal(COLUMNS),
-        partition_ideal(CORNER),
-        principal(T.compl(T.upper_quad(3))),
-        uniform_product(fin(Universe.NAT), 2),
-        pushforward(partition_ideal(RULER), RULER_CORNER),
-    )
 
 
 @dataclass(frozen=True)

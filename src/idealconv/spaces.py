@@ -63,9 +63,6 @@ class FiniteTop:
     def contains_value(self, v) -> bool:
         return v in self.points
 
-    def opens_containing(self, x):
-        return sorted((o for o in self.opens if x in o), key=lambda o: tuple(sorted(o)))
-
     def min_nbhd(self, x) -> frozenset:
         """Smallest open set containing x; exists in any finite topology."""
         out = frozenset(self.points)

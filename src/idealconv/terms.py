@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import UniverseMismatch, UnsupportedCombination
+from .errors import PreconditionViolated, UniverseMismatch, UnsupportedCombination
 from .natset import PeriodicSet
 from .pairset import PairGrid
 from .partitions import Partition, block_contains, block_of
@@ -62,7 +62,6 @@ __all__ = [
     "nat_value",
     "pair_grid",
     "interval_set_to_term",
-    "periodic_set_to_term",
 ]
 
 
@@ -257,30 +256,33 @@ def finite_set(universe: Universe, elems) -> SetTerm:
     return FiniteSet(universe, elems)
 
 
+def _positive(what: str, v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        raise PreconditionViolated(f"{what} must be an integer >= 1, got {v!r}")
+    return v
+
+
 def tail(start: int) -> SetTerm:
-    assert start >= 1
-    return Tail(start)
+    return Tail(_positive("tail start", start))
 
 
 def upper_quad(start: int) -> SetTerm:
-    assert start >= 1
-    return UpperQuad(start)
+    return UpperQuad(_positive("upperquad start", start))
 
 
 def row(index: int) -> SetTerm:
-    assert index >= 1
-    return Row(index)
+    return Row(_positive("row index", index))
 
 
 def col(index: int) -> SetTerm:
-    assert index >= 1
-    return Col(index)
+    return Col(_positive("col index", index))
 
 
 def block(partition: Partition, index: int) -> SetTerm:
-    assert index >= 1
+    _positive("block index", index)
     if not partition.infinitely_many_infinite_blocks and partition.modulus is not None:
-        assert index <= partition.modulus, "residue class index exceeds modulus"
+        if index > partition.modulus:
+            raise PreconditionViolated("residue class index exceeds modulus")
     return Block(partition, index)
 
 
@@ -512,21 +514,6 @@ def interval_set_to_term(iset) -> SetTerm:
         parts.append(finite_set(Universe.NAT, finite_elems))
     if tail_start is not None:
         parts.append(tail(tail_start))
-    if not parts:
-        return empty(Universe.NAT)
-    return parts[0] if len(parts) == 1 else union(*parts)
-
-
-def periodic_set_to_term(v: PeriodicSet) -> SetTerm:
-    """Rebuild a NAT term denoting exactly the given periodic set."""
-    from .partitions import residues  # local to avoid cycle at import time
-
-    parts = []
-    if v.below:
-        parts.append(finite_set(Universe.NAT, v.below))
-    for r in sorted(v.residues):
-        cls = block(residues(v.period), r if r != 0 else v.period)
-        parts.append(inter(cls, tail(v.threshold)))
     if not parts:
         return empty(Universe.NAT)
     return parts[0] if len(parts) == 1 else union(*parts)

@@ -117,6 +117,26 @@ def test_empty_op_exits_2():
     assert rc == 2 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "term",
+    [
+        '{"atom":"tail","start":0}',
+        '{"atom":"tail","start":"x"}',
+        '{"atom":"tail"}',
+    ],
+)
+def test_bad_tail_start_exits_2(term):
+    rc, out, err = run(["set", "classify", "--term", term])
+    assert rc == 2 and out == "" and err.startswith("error:")
+
+
+def test_member_boolean_element_exits_2():
+    rc, out, err = run(
+        ["set", "member", "--term", '{"atom":"tail","start":5}', "--element", "true"]
+    )
+    assert rc == 2 and out == "" and err.startswith("error:")
+
+
 # --- fixtures ---
 
 

@@ -174,6 +174,39 @@ def test_lemma_suite_small():
         ic.lemma_suite(9)
 
 
+def test_lemma_suite_checked_counts():
+    rep = ic.lemma_suite(2)
+    assert [c.checked for c in rep.claims] == [
+        278, 2502, 42, 389208, 556, 8744, 66096, 7344, 490, 13056, 300, 4
+    ]
+
+
+def _violated_claims(rep):
+    return {c.name for c in rep.claims if c.violations}
+
+
+def test_lemma_suite_consumes_brute_ihj(monkeypatch):
+    # a star oracle that always answers no: exactly the claims that need
+    # some star verdict to be yes report it
+    monkeypatch.setattr(
+        "idealconv.finite.brute_ihj", lambda fn, i, j, sp, x: (False, None)
+    )
+    assert _violated_claims(ic.lemma_suite(2)) == {
+        "aux-convergence-gives-star",
+        "gap-function-when-aux-escapes-base",
+        "star-matches-trace-restriction",
+    }
+
+
+def test_lemma_suite_consumes_brute_i_limits(monkeypatch):
+    monkeypatch.setattr("idealconv.finite.brute_i_limits", lambda fn, i, sp: [])
+    assert _violated_claims(ic.lemma_suite(2)) == {
+        "improper-ideal-absorbs-everything",
+        "maximal-ideal-limits-exist",
+        "star-forces-base-when-aux-refines",
+    }
+
+
 # --- encoding bridge ---
 
 

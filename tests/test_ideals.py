@@ -287,6 +287,14 @@ def test_partition_incidence_frozen():
     assert not fin5
 
 
+def test_partition_incidence_on_residue_classes():
+    # a tail meets every residue class; a finite set only its own classes
+    assert ic.partition_incidence(ic.residues(3), ic.tail(2)) == (True, (1, 2, 3))
+    assert ic.partition_incidence(
+        ic.residues(3), ic.finite_set(NAT, [3, 6])
+    ) == (True, (3,))
+
+
 @settings(max_examples=150)
 @given(pair_terms)
 def test_pringsheim_two_routes(t):

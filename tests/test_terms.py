@@ -1,5 +1,6 @@
 """Set term semantics: membership, truncation, exact classification."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import idealconv as ic
@@ -289,3 +290,14 @@ def test_partition_by_id_roundtrip():
     import pytest
     with pytest.raises(ValueError):
         ic.partition_by_id("diagonal-stripes")
+
+
+def test_atom_indices_must_be_positive_integers():
+    for bad in (0, -3, "x", 1.0, True, None):
+        for make in (ic.tail, ic.upper_quad, ic.row, ic.col):
+            with pytest.raises(ic.PreconditionViolated):
+                make(bad)
+        with pytest.raises(ic.PreconditionViolated):
+            ic.block(ic.RULER, bad)
+    with pytest.raises(ic.PreconditionViolated):
+        ic.block(ic.residues(3), 4)
