@@ -160,13 +160,16 @@ def _piece_escape(f: PiecewiseFn, x: Fraction, k: int) -> list:
     return out
 
 
-def _inside_blocks(c: Fraction, delta: Fraction, k: int) -> set:
+def _inside_blocks(c: Fraction, delta: Fraction, k: int) -> range:
     """{i >= 1 : |c/i - delta| < 1/k}, requiring 1/k < |delta| so the set
-    is finite."""
+    is finite: the ball excludes 0, so it is empty unless c and delta share
+    a sign, and then i ranges over (|c|/(|delta|+1/k), |c|/(|delta|-1/k))."""
     kf = Fraction(1, k)
     assert abs(delta) > kf
-    bound = abs(c) / (abs(delta) - kf)
-    return {i for i in range(1, math.floor(bound) + 1) if abs(c / i - delta) < kf}
+    if c * delta <= 0:
+        return range(0)
+    c, d = abs(c), abs(delta)
+    return range(math.floor(c / (d + kf)) + 1, math.ceil(c / (d - kf)))
 
 
 def _converges_metric(f: PiecewiseFn, i: Ideal, x: Fraction) -> Verdict:
@@ -210,7 +213,7 @@ def _converges_metric(f: PiecewiseFn, i: Ideal, x: Fraction) -> Verdict:
     q = c / delta
     exact = {int(q)} if q.denominator == 1 and q >= 1 else set()
     k = max(kp, math.floor(1 / abs(delta)) + 1)
-    while not _inside_blocks(c, delta, k) <= exact:
+    while any(n not in exact for n in _inside_blocks(c, delta, k)):
         k *= 2
     keep = [T.block(p, n) for n in sorted(exact)]
     diag_escape = T.diff(T.diff(T.full(f.universe), _union(f.universe, keep)), pu)

@@ -56,7 +56,7 @@ class SampleNotInIdeal(IdealConvError):
 
 
 class SizeTooLarge(IdealConvError):
-    """A brute-force enumeration was requested above its size cap."""
+    """A brute-force enumeration or a normal form went above its size cap."""
 
 
 class InconsistencyFound(IdealConvError):

@@ -28,7 +28,7 @@ from typing import Optional
 from . import terms as T
 from .errors import InvalidFunction, UniverseMismatch
 from .partitions import Partition, block_of
-from .spaces import METRIC_LINE, ContinuousMap, FiniteTop, MetricLine, as_fraction, map_value
+from .spaces import ContinuousMap, FiniteTop, MetricLine, as_fraction, map_value
 from .terms import SetTerm, classify
 from .universe import Universe, canonical_rank, check_element
 

@@ -201,22 +201,7 @@ def partition_incidence(p: Partition, t: SetTerm):
         finite, idx = v.ruler_incidence()
         return (True, tuple(sorted(idx))) if finite else (False, None)
     if p.modulus is not None:
-        hit = set()
-        for n in v.truncate(p.modulus * max(1, v.threshold)):
-            r = n % p.modulus
-            hit.add(r if r else p.modulus)
-        for r in v.residues:
-            rr = r % p.modulus if v.period % p.modulus == 0 else None
-            if rr is None:
-                # period and modulus interleave; the class meets several
-                # residue blocks, enumerate one period worth of them
-                for n in range(v.threshold, v.threshold + p.modulus * v.period):
-                    if v.contains(n):
-                        q = n % p.modulus
-                        hit.add(q if q else p.modulus)
-            else:
-                hit.add(rr if rr else p.modulus)
-        return True, tuple(sorted(hit))
+        return True, tuple(sorted(r or p.modulus for r in v.classes_mod(p.modulus)))
     raise UniverseMismatch(f"no incidence rule for partition {p.pid}")
 
 

@@ -6,12 +6,22 @@ fixed residue set.  Finite sets, tails {n : n >= m} and arithmetic
 residue classes all live here, and the class is closed under the Boolean
 operations, so every term over those atoms can be classified exactly:
 the set is infinite iff the residue pattern is nonempty.
+
+Both parts are Python-int bitmasks (bit n of `below`: n in S, for n < T;
+bit r of `residues`: r in the pattern), and no other module reads them.
+A Boolean operation tiles both sides to the common period and threshold
+and combines them with whole-word integer operations, so its cost is
+linear in threshold + period bits.  No mask may be longer than 2**24
+bits (2 MiB); a set that needs one raises SizeTooLarge before it is built.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import gcd
+
+from .errors import SizeTooLarge
 
 __all__ = ["PeriodicSet", "v2"]
 
@@ -26,78 +36,113 @@ def _lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b
 
 
+def _fit(bits: int) -> int:
+    """bits, checked against the mask budget before a mask that long is built."""
+    if bits > 1 << 24:
+        raise SizeTooLarge(f"a NAT normal form would need a {bits}-bit mask (limit 2**24)")
+    return bits
+
+
+def _tile(pattern: int, p: int, n: int) -> int:
+    """The period-p pattern repeated out to n bits, by shift-and-or
+    doubling (a repunit product would need a quadratic big-int division)."""
+    out, w = pattern, p
+    while w < n:
+        out |= out << w
+        w <<= 1
+    return out & ((1 << n) - 1)
+
+
+def _fold(x: int, m: int) -> int:
+    """The OR of the m-bit chunks of x: bit r is set iff x has a set bit
+    at a position = r (mod m).  Halving cuts keep the cost linear in x."""
+    while x >> m:
+        h = -(-x.bit_length() // (2 * m)) * m
+        x = x & ((1 << h) - 1) | x >> h
+    return x
+
+
+def _bits(mask: int) -> list:
+    """Positions of the set bits, ascending."""
+    return [m.start() for m in re.finditer("1", bin(mask)[:1:-1])]
+
+
 @dataclass(frozen=True)
 class PeriodicSet:
-    """Invariants: threshold >= 1, period >= 1, below is a subset of
-    [1, threshold), residues is a subset of [0, period)."""
+    """Invariants: threshold >= 1, period >= 1, below is a mask inside
+    bits [1, threshold), residues is a mask inside bits [0, period)."""
 
     threshold: int
     period: int
-    residues: frozenset
-    below: frozenset
+    residues: int
+    below: int
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def empty() -> "PeriodicSet":
-        return PeriodicSet(1, 1, frozenset(), frozenset())
+        return PeriodicSet(1, 1, 0, 0)
 
     @staticmethod
     def full() -> "PeriodicSet":
-        return PeriodicSet(1, 1, frozenset({0}), frozenset())
+        return PeriodicSet(1, 1, 1, 0)
 
     @staticmethod
     def from_finite(elems) -> "PeriodicSet":
         elems = frozenset(elems)
         assert all(isinstance(n, int) and n >= 1 for n in elems)
-        t = max(elems) + 1 if elems else 1
-        return PeriodicSet(t, 1, frozenset(), elems)
+        t = _fit(max(elems) + 1 if elems else 1)
+        buf = bytearray((t + 7) // 8)
+        for n in elems:
+            buf[n >> 3] |= 1 << (n & 7)
+        return PeriodicSet(t, 1, 0, int.from_bytes(buf, "little"))
 
     @staticmethod
     def from_tail(m: int) -> "PeriodicSet":
         assert m >= 1
-        return PeriodicSet(m, 1, frozenset({0}), frozenset())
+        return PeriodicSet(m, 1, 1, 0)
 
     @staticmethod
     def from_residue(modulus: int, r: int) -> "PeriodicSet":
         """The class {n >= 1 : n = r (mod modulus)}."""
         assert modulus >= 1
-        return PeriodicSet(1, modulus, frozenset({r % modulus}), frozenset())
+        return PeriodicSet(1, modulus, 1 << (r % _fit(modulus)), 0)
 
     # -- membership --------------------------------------------------
 
     def contains(self, n: int) -> bool:
         if n < self.threshold:
-            return n in self.below
-        return (n % self.period) in self.residues
+            return bool(self.below >> n & 1)
+        return bool(self.residues >> (n % self.period) & 1)
+
+    def _prefix(self, t: int) -> int:
+        """The members below t, as a mask."""
+        m = self.below
+        if t > self.threshold:
+            m |= _tile(self.residues, self.period, t) >> self.threshold << self.threshold
+        return m & ((1 << t) - 1)
 
     # -- Boolean algebra ---------------------------------------------
 
     def _combine(self, other: "PeriodicSet", op) -> "PeriodicSet":
-        t = max(self.threshold, other.threshold)
-        p = _lcm(self.period, other.period)
-        residues = frozenset(
-            r
-            for r in range(p)
-            if op((r % self.period) in self.residues, (r % other.period) in other.residues)
-        )
-        below = frozenset(
-            n for n in range(1, t) if op(self.contains(n), other.contains(n))
-        )
+        t = _fit(max(self.threshold, other.threshold))
+        p = _fit(_lcm(self.period, other.period))
+        residues = op(_tile(self.residues, self.period, p), _tile(other.residues, other.period, p))
+        below = op(self._prefix(t), other._prefix(t))
         return PeriodicSet(t, p, residues, below)._reduced()
 
     def union(self, other):
-        return self._combine(other, lambda a, b: a or b)
+        return self._combine(other, lambda a, b: a | b)
 
     def inter(self, other):
-        return self._combine(other, lambda a, b: a and b)
+        return self._combine(other, lambda a, b: a & b)
 
     def diff(self, other):
-        return self._combine(other, lambda a, b: a and not b)
+        return self._combine(other, lambda a, b: a & ~b)
 
     def compl(self) -> "PeriodicSet":
-        residues = frozenset(range(self.period)) - self.residues
-        below = frozenset(range(1, self.threshold)) - self.below
+        residues = self.residues ^ ((1 << self.period) - 1)
+        below = self.below ^ ((1 << _fit(self.threshold)) - 2)
         return PeriodicSet(self.threshold, self.period, residues, below)
 
     def _reduced(self) -> "PeriodicSet":
@@ -107,10 +152,9 @@ class PeriodicSet:
         for d in sorted(_divisors(p)):
             if d == p:
                 break
-            if all(((r + d) % p in res) == (r in res) for r in range(p)):
-                return PeriodicSet(
-                    self.threshold, d, frozenset(r % d for r in res), self.below
-                )
+            low = res & ((1 << d) - 1)
+            if _tile(low, d, p) == res:
+                return PeriodicSet(self.threshold, d, low, self.below)
         return self
 
     # -- classification ----------------------------------------------
@@ -118,16 +162,20 @@ class PeriodicSet:
     def is_finite(self) -> bool:
         return not self.residues
 
-    def is_empty(self) -> bool:
-        return not self.residues and not self.below
-
     def elements(self):
         """Sorted members; only valid when the set is finite."""
         assert self.is_finite()
-        return sorted(self.below)
+        return _bits(self.below)
 
-    def truncate(self, bound: int):
-        return [n for n in range(1, bound + 1) if self.contains(n)]
+    def classes_mod(self, m: int) -> frozenset:
+        """{n mod m : n in S}.  Past the threshold, the residue r mod
+        period meets exactly the classes mod m that are = r mod
+        gcd(period, m), infinitely often (Chinese remainders)."""
+        x = _fold(self.below, m)
+        if self.residues:
+            g = gcd(self.period, m)
+            x |= _tile(_fold(self.residues, g), g, _fit(m))
+        return frozenset(_bits(x))
 
     # -- block incidence under the dyadic valuation partition ---------
 
@@ -139,13 +187,18 @@ class PeriodicSet:
         single block when r != 0 and v2(r) < v2(p), and infinitely many
         blocks otherwise.
         """
-        indices = set()
         a = v2(self.period) if self.period % 2 == 0 else 0
-        for r in self.residues:
-            if r == 0 or v2(r) >= a:
-                return (False, None)
-            indices.add(v2(r) + 1)
-        indices.update(v2(n) + 1 for n in self.below)
+        if self.residues & _tile(1, 1 << a, self.period):
+            return (False, None)
+        # every residue left has v2 < a, so residue and below positions
+        # fall into blocks alike
+        mask, i, indices = self.residues | self.below, 0, set()
+        while mask:
+            hit = mask & _tile(1 << (1 << i), 2 << i, mask.bit_length())
+            if hit:
+                indices.add(i + 1)
+                mask ^= hit
+            i += 1
         return (True, frozenset(indices))
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UniverseMismatch
 from .natset import v2
 from .universe import Universe, check_element
 

@@ -11,8 +11,8 @@ import json
 from fractions import Fraction
 
 from . import terms as T
-from .bijections import Bijection, bijection_by_name
-from .convergence import StarResult, Verdict, Witness
+from .bijections import bijection_by_name
+from .convergence import StarResult
 from .functions import Const, DiagonalFamily, PiecewiseFn, TailsTo
 from .ideals import Ideal
 from .partitions import partition_by_id

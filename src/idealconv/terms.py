@@ -26,7 +26,7 @@ from functools import lru_cache
 from .errors import PreconditionViolated, UniverseMismatch, UnsupportedCombination
 from .natset import PeriodicSet
 from .pairset import PairGrid
-from .partitions import Partition, block_contains, block_of
+from .partitions import Partition, block_contains
 from .universe import Universe, check_element, elements_upto
 
 __all__ = [

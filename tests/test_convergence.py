@@ -371,3 +371,26 @@ def test_decompose_requires_star_yes():
     f = ic.piecewise(NAT, sp, [(ic.full(NAT), ic.Const("a"))])
     with pytest.raises(PreconditionViolated):
         ic.decompose(f, ic.fin(NAT), ic.fin(NAT), "a")
+
+
+def test_inside_blocks_closed_form_matches_scan():
+    from idealconv.convergence import _inside_blocks
+
+    def scan(c, delta, k):
+        kf = Fr(1, k)
+        top = int(abs(c) / (abs(delta) - kf))
+        return {i for i in range(1, top + 1) if abs(c / i - delta) < kf}
+
+    values = sorted({Fr(a, b) for a in range(-12, 13) for b in (1, 2, 3, 5, 7)})
+    for c in values:
+        for delta in values:
+            for k in range(1, 13):
+                if abs(delta) > Fr(1, k):
+                    assert set(_inside_blocks(c, delta, k)) == scan(c, delta, k), (c, delta, k)
+
+
+def test_diagonal_far_from_target_at_large_scale():
+    # the ball around x = 1 holds the single block c/1; its closed form
+    # keeps this independent of the scale
+    f = ic.diagonal_function(ic.COLUMNS, 0, 10**6)
+    assert ic.converges(f, ic.partition_ideal(ic.COLUMNS), 1) is Verdict.NO
