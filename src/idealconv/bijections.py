@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from . import terms as T
 from .errors import PreimageNotRepresentable, UniverseMismatch
-from .natset import v2
+from .natset import pow2, v2
 from .partitions import CORNER, RULER, residues
 from .universe import Universe, check_element, diag_index, diag_pair
 
@@ -180,7 +180,8 @@ def _pre_atom(b: Bijection, t: T.SetTerm) -> T.SetTerm:
                 return T.full(Universe.NAT)
             # quadrant [m, oo)^2 is the union of corner blocks m, m+1, ...
             # whose dyadic preimage is the multiples of 2^(m-1)
-            return T.block(residues(1 << (m - 1)), 1 << (m - 1))
+            q = pow2(m - 1)
+            return T.block(residues(q), q)
         if isinstance(t, T.Block):
             if t.partition.pid == "corner":
                 return T.block(RULER, t.index)
@@ -228,8 +229,9 @@ def _pre_col(j: int) -> T.SetTerm:
     """Preimage of column j: the corner point and second-coordinate arm of
     block j (class 2^(j-1) mod 2^(j+1)) plus the finitely many points
     (j, b) with b < j that fall into lower blocks."""
+    m = pow2(j + 1)
     low = [_ruler_corner_decode((j, b)) for b in range(1, j)]
-    cls = T.block(residues(1 << (j + 1)), 1 << (j - 1))
+    cls = T.block(residues(m), m >> 2)
     if not low:
         return cls
     return T.union(T.finite_set(Universe.NAT, low), cls)
@@ -239,7 +241,8 @@ def _pre_row(j: int) -> T.SetTerm:
     """Preimage of row j: the first-coordinate arm of block j (class
     3 * 2^(j-1) mod 2^(j+1)), the corner point 2^(j-1), and the points
     (a, j) with a < j from lower blocks."""
+    m = pow2(j + 1)
     low = [_ruler_corner_decode((a, j)) for a in range(1, j)]
-    low.append(1 << (j - 1))
-    cls = T.block(residues(1 << (j + 1)), 3 * (1 << (j - 1)) % (1 << (j + 1)))
+    low.append(m >> 2)
+    cls = T.block(residues(m), 3 * (m >> 2))
     return T.union(T.finite_set(Universe.NAT, low), cls)

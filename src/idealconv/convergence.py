@@ -60,6 +60,7 @@ from .functions import (
 from .ideals import (
     Ideal,
     Tri,
+    _normalize,
     admissible,
     has_maximum,
     in_filter,
@@ -71,7 +72,6 @@ from .ideals import (
 from .partitions import Partition
 from .spaces import FiniteTop, MetricLine, as_fraction
 from .terms import SetTerm, classify
-from .universe import Universe
 
 __all__ = [
     "Verdict",
@@ -322,12 +322,8 @@ def _diagonal_refutation(f: PiecewiseFn, i: Ideal, j: Ideal, x) -> Optional[Star
         return None
     if j.kind != "fin":
         return None
-    inorm = i if i.kind == "partition" else None
-    if i.kind == "pringsheim":
-        from .partitions import CORNER
-
-        inorm = Ideal("partition", Universe.NATPAIR, partition=CORNER)
-    if inorm is None or inorm.partition.pid not in _CATALOG_PIDS:
+    inorm = _normalize(i)
+    if inorm.kind != "partition" or inorm.partition.pid not in _CATALOG_PIDS:
         return None
     if d.partition.pid not in _CATALOG_PIDS:
         return None

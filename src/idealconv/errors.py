@@ -59,9 +59,5 @@ class SizeTooLarge(IdealConvError):
     """A brute-force enumeration or a normal form went above its size cap."""
 
 
-class InconsistencyFound(IdealConvError):
-    """A cross-check between two independent routes disagreed."""
-
-
 class InvalidFunction(IdealConvError):
     """A piecewise function failed validation."""

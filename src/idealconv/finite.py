@@ -130,9 +130,6 @@ class FiniteSpace:
                     return False
         return True
 
-    def is_indiscrete(self) -> bool:
-        return len(self.opens) == 2 or self.m == 0
-
 
 @lru_cache(maxsize=None)
 def enumerate_topologies(m: int):

@@ -34,10 +34,10 @@ from typing import Optional
 
 from . import terms as T
 from .bijections import Bijection, invert, preimage_term
-from .errors import FinitePartition, PreimageNotRepresentable, UniverseMismatch
+from .errors import FinitePartition, PreconditionViolated, PreimageNotRepresentable, UniverseMismatch
 from .partitions import CORNER, Partition
 from .terms import SetTerm, classify, pair_grid
-from .universe import Universe
+from .universe import Universe, is_element
 
 __all__ = [
     "Ideal",
@@ -73,8 +73,11 @@ class Tri(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ideal:
+    """Hash-consed like the terms: build ideals only through the
+    constructors below, which return one node per descriptor."""
+
     kind: str
     universe: Universe
     set_term: Optional[SetTerm] = None
@@ -82,23 +85,6 @@ class Ideal:
     base: Optional["Ideal"] = None
     cutoff: Optional[int] = None
     bijection: Optional[Bijection] = None
-
-    def __hash__(self):  # cached, ideals are hot cache keys
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(
-                (
-                    self.kind,
-                    self.universe,
-                    self.set_term,
-                    self.partition,
-                    self.base,
-                    self.cutoff,
-                    self.bijection,
-                )
-            )
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __repr__(self):
         bits = [self.kind, self.universe.value]
@@ -115,16 +101,20 @@ class Ideal:
         return "Ideal(" + ", ".join(bits) + ")"
 
 
+def _ideal(kind, universe, set_term=None, partition=None, base=None, cutoff=None, bijection=None):
+    return T.interned(Ideal, kind, universe, set_term, partition, base, cutoff, bijection)
+
+
 def fin(universe: Universe = Universe.NAT) -> Ideal:
-    return Ideal("fin", universe)
+    return _ideal("fin", universe)
 
 
 def improper(universe: Universe = Universe.NAT) -> Ideal:
-    return Ideal("improper", universe)
+    return _ideal("improper", universe)
 
 
 def principal(t: SetTerm) -> Ideal:
-    return Ideal("principal", t.universe, set_term=t)
+    return _ideal("principal", t.universe, set_term=t)
 
 
 def partition_ideal(p: Partition) -> Ideal:
@@ -132,33 +122,39 @@ def partition_ideal(p: Partition) -> Ideal:
         raise FinitePartition(
             f"partition {p.pid} lacks infinitely many infinite blocks"
         )
-    return Ideal("partition", p.universe, partition=p)
+    return _ideal("partition", p.universe, partition=p)
 
 
 def pringsheim() -> Ideal:
-    return Ideal("pringsheim", Universe.NATPAIR)
+    return _ideal("pringsheim", Universe.NATPAIR)
+
+
+def _product(kind: str, base: Ideal, cutoff: int) -> Ideal:
+    if base.universe is not Universe.NAT:
+        raise UniverseMismatch(f"{kind}: the base ideal must live on NAT")
+    if not is_element(Universe.NAT, cutoff):
+        raise PreconditionViolated(f"{kind} cutoff must be an integer >= 1, got {cutoff!r}")
+    return _ideal(kind, Universe.NATPAIR, base=base, cutoff=cutoff)
 
 
 def uniform_product(base: Ideal, cutoff: int) -> Ideal:
-    assert base.universe is Universe.NAT and cutoff >= 1
-    return Ideal("uniform_product", Universe.NATPAIR, base=base, cutoff=cutoff)
+    return _product("uniform_product", base, cutoff)
 
 
 def pointwise_product(base: Ideal, cutoff: int) -> Ideal:
-    assert base.universe is Universe.NAT and cutoff >= 1
-    return Ideal("pointwise_product", Universe.NATPAIR, base=base, cutoff=cutoff)
+    return _product("pointwise_product", base, cutoff)
 
 
 def pushforward(base: Ideal, b: Bijection) -> Ideal:
     if base.universe is not b.source:
         raise UniverseMismatch("pushforward: ideal universe differs from bijection source")
-    return Ideal("pushforward", b.target, base=base, bijection=b)
+    return _ideal("pushforward", b.target, base=base, bijection=b)
 
 
 def trace_ideal(base: Ideal, m: SetTerm) -> Ideal:
     if base.universe is not m.universe:
         raise UniverseMismatch("trace_ideal: term universe differs from ideal universe")
-    return Ideal("trace", base.universe, base=base, set_term=m)
+    return _ideal("trace", base.universe, base=base, set_term=m)
 
 
 def _normalize(i: Ideal) -> Ideal:

@@ -23,7 +23,7 @@ from math import gcd
 
 from .errors import SizeTooLarge
 
-__all__ = ["PeriodicSet", "v2"]
+__all__ = ["PeriodicSet", "pow2", "v2"]
 
 
 def v2(n: int) -> int:
@@ -36,11 +36,22 @@ def _lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b
 
 
+_BUDGET_LOG2 = 24  # no mask is longer than 2**24 bits
+
+
 def _fit(bits: int) -> int:
     """bits, checked against the mask budget before a mask that long is built."""
-    if bits > 1 << 24:
+    if bits > 1 << _BUDGET_LOG2:
         raise SizeTooLarge(f"a NAT normal form would need a {bits}-bit mask (limit 2**24)")
     return bits
+
+
+def pow2(k: int) -> int:
+    """2**k as a period or modulus, refused on the exponent before the
+    integer is built when a mask of 2**k bits would break the budget."""
+    if k > _BUDGET_LOG2:
+        raise SizeTooLarge(f"a NAT normal form would need a 2**{k}-bit mask (limit 2**24)")
+    return 1 << k
 
 
 def _tile(pattern: int, p: int, n: int) -> int:
@@ -161,6 +172,11 @@ class PeriodicSet:
 
     def is_finite(self) -> bool:
         return not self.residues
+
+    def card(self) -> int:
+        """Number of members; only valid when the set is finite."""
+        assert self.is_finite()
+        return self.below.bit_count()
 
     def elements(self):
         """Sorted members; only valid when the set is finite."""

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import PreconditionViolated
 from .natset import v2
-from .universe import Universe, check_element
+from .universe import Universe, check_element, is_element
 
 __all__ = [
     "Partition",
@@ -56,7 +57,8 @@ RULER = Partition("ruler", Universe.NAT, True)
 
 
 def residues(m: int) -> Partition:
-    assert m >= 1
+    if not is_element(Universe.NAT, m):
+        raise PreconditionViolated(f"residue modulus must be an integer >= 1, got {m!r}")
     return Partition(f"residues:{m}", Universe.NAT, False, modulus=m)
 
 

@@ -20,11 +20,12 @@ and is a bug by contract.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import wraps
 
 from .errors import PreconditionViolated, UniverseMismatch, UnsupportedCombination
-from .natset import PeriodicSet
+from .natset import PeriodicSet, pow2
 from .pairset import PairGrid
 from .partitions import Partition, block_contains
 from .universe import Universe, check_element, elements_upto
@@ -66,28 +67,48 @@ __all__ = [
 
 
 class SetTerm:
-    """Base class; subclasses are frozen dataclasses with a universe."""
+    """Base class; subclasses are frozen dataclasses with a universe.
+
+    Nodes are hash-consed: the constructors below return the one live
+    node for each structure, so equality and hashing are identity."""
 
     universe: Universe
 
-    def __hash__(self):  # cached per node, terms are immutable
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self._key())
-            object.__setattr__(self, "_hash", h)
-        return h
 
-    def _key(self):
-        raise NotImplementedError
+# The unique table: (class, *fields) -> the live node with those fields.
+# Child nodes sit in a key by identity; an entry goes when its node dies.
+_NODES = weakref.WeakValueDictionary()
 
-    def __eq__(self, other):
-        return type(other) is type(self) and other._key() == self._key()
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
+def interned(cls, *fields):
+    """The one live cls(*fields), built on first use.  Every term and
+    ideal constructor goes through here."""
+    key = (cls, *fields)
+    node = _NODES.get(key)
+    if node is None:
+        node = _NODES[key] = cls(*fields)
+    return node
+
+
+def _on_node(fn):
+    """Memoise a one-term function on the term node itself, so the
+    result lives exactly as long as the node."""
+    slot = "_" + fn.__name__
+
+    @wraps(fn)
+    def memo(t):
+        try:
+            return t.__dict__[slot]
+        except KeyError:
+            value = t.__dict__[slot] = fn(t)
+            return value
+
+    return memo
 
 
 def _same_universe(ts):
+    if not ts:
+        raise PreconditionViolated("union and inter need at least one operand")
     u = ts[0].universe
     for t in ts[1:]:
         if t.universe is not u:
@@ -99,28 +120,16 @@ def _same_universe(ts):
 class Empty(SetTerm):
     universe: Universe
 
-    def _key(self):
-        return ("empty", self.universe)
-
-
 
 @dataclass(frozen=True, eq=False)
 class Full(SetTerm):
     universe: Universe
-
-    def _key(self):
-        return ("full", self.universe)
-
 
 
 @dataclass(frozen=True, eq=False)
 class FiniteSet(SetTerm):
     universe: Universe
     elements: frozenset
-
-    def _key(self):
-        return ("finite", self.universe, self.elements)
-
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,10 +139,6 @@ class Tail(SetTerm):
     start: int
     universe: Universe = field(default=Universe.NAT, init=False)
 
-    def _key(self):
-        return ("tail", self.start)
-
-
 
 @dataclass(frozen=True, eq=False)
 class UpperQuad(SetTerm):
@@ -141,10 +146,6 @@ class UpperQuad(SetTerm):
 
     start: int
     universe: Universe = field(default=Universe.NATPAIR, init=False)
-
-    def _key(self):
-        return ("upperquad", self.start)
-
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,10 +155,6 @@ class Row(SetTerm):
     index: int
     universe: Universe = field(default=Universe.NATPAIR, init=False)
 
-    def _key(self):
-        return ("row", self.index)
-
-
 
 @dataclass(frozen=True, eq=False)
 class Col(SetTerm):
@@ -165,10 +162,6 @@ class Col(SetTerm):
 
     index: int
     universe: Universe = field(default=Universe.NATPAIR, init=False)
-
-    def _key(self):
-        return ("col", self.index)
-
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,10 +173,6 @@ class Block(SetTerm):
     def universe(self):
         return self.partition.universe
 
-    def _key(self):
-        return ("block", self.partition.pid, self.index)
-
-
 
 @dataclass(frozen=True, eq=False)
 class Compl(SetTerm):
@@ -192,10 +181,6 @@ class Compl(SetTerm):
     @property
     def universe(self):
         return self.term.universe
-
-    def _key(self):
-        return ("compl", self.term)
-
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,10 +191,6 @@ class Union(SetTerm):
     def universe(self):
         return self.terms[0].universe
 
-    def _key(self):
-        return ("union", self.terms)
-
-
 
 @dataclass(frozen=True, eq=False)
 class Inter(SetTerm):
@@ -218,10 +199,6 @@ class Inter(SetTerm):
     @property
     def universe(self):
         return self.terms[0].universe
-
-    def _key(self):
-        return ("inter", self.terms)
-
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,27 +210,23 @@ class Diff(SetTerm):
     def universe(self):
         return self.left.universe
 
-    def _key(self):
-        return ("diff", self.left, self.right)
-
-
 
 # -- constructors ------------------------------------------------------
 
 
 def empty(universe: Universe) -> SetTerm:
-    return Empty(universe)
+    return interned(Empty, universe)
 
 
 def full(universe: Universe) -> SetTerm:
-    return Full(universe)
+    return interned(Full, universe)
 
 
 def finite_set(universe: Universe, elems) -> SetTerm:
     elems = frozenset(elems)
     for e in elems:
         check_element(universe, e)
-    return FiniteSet(universe, elems)
+    return interned(FiniteSet, universe, elems)
 
 
 def _positive(what: str, v) -> int:
@@ -263,19 +236,19 @@ def _positive(what: str, v) -> int:
 
 
 def tail(start: int) -> SetTerm:
-    return Tail(_positive("tail start", start))
+    return interned(Tail, _positive("tail start", start))
 
 
 def upper_quad(start: int) -> SetTerm:
-    return UpperQuad(_positive("upperquad start", start))
+    return interned(UpperQuad, _positive("upperquad start", start))
 
 
 def row(index: int) -> SetTerm:
-    return Row(_positive("row index", index))
+    return interned(Row, _positive("row index", index))
 
 
 def col(index: int) -> SetTerm:
-    return Col(_positive("col index", index))
+    return interned(Col, _positive("col index", index))
 
 
 def block(partition: Partition, index: int) -> SetTerm:
@@ -283,28 +256,26 @@ def block(partition: Partition, index: int) -> SetTerm:
     if not partition.infinitely_many_infinite_blocks and partition.modulus is not None:
         if index > partition.modulus:
             raise PreconditionViolated("residue class index exceeds modulus")
-    return Block(partition, index)
+    return interned(Block, partition, index)
 
 
 def compl(t: SetTerm) -> SetTerm:
-    return Compl(t)
+    return interned(Compl, t)
 
 
 def union(*ts: SetTerm) -> SetTerm:
-    assert ts
     _same_universe(ts)
-    return Union(tuple(ts))
+    return interned(Union, ts)
 
 
 def inter(*ts: SetTerm) -> SetTerm:
-    assert ts
     _same_universe(ts)
-    return Inter(tuple(ts))
+    return interned(Inter, ts)
 
 
 def diff(a: SetTerm, b: SetTerm) -> SetTerm:
     _same_universe((a, b))
-    return Diff(a, b)
+    return interned(Diff, a, b)
 
 
 # -- pointwise membership ----------------------------------------------
@@ -356,7 +327,7 @@ def truncate(t: SetTerm, bound: int):
 # -- evaluation to closed normal forms ---------------------------------
 
 
-@lru_cache(maxsize=None)
+@_on_node
 def nat_value(t: SetTerm) -> PeriodicSet:
     """Evaluate a NAT term to its eventually periodic set."""
     if t.universe is not Universe.NAT:
@@ -376,7 +347,8 @@ def _nat_value(t: SetTerm) -> PeriodicSet:
     if isinstance(t, Block):
         p = t.partition
         if p.pid == "ruler":
-            return PeriodicSet.from_residue(1 << t.index, 1 << (t.index - 1))
+            m = pow2(t.index)
+            return PeriodicSet.from_residue(m, m >> 1)
         if p.modulus is not None:
             return PeriodicSet.from_residue(p.modulus, t.index % p.modulus)
         raise UnsupportedCombination(f"no NAT evaluation for partition {p.pid}")
@@ -439,7 +411,7 @@ def _breaks(t: SetTerm, xs: set, ys: set):
     raise UnsupportedCombination(f"no breakpoint rule for {type(t).__name__}")
 
 
-@lru_cache(maxsize=None)
+@_on_node
 def pair_grid(t: SetTerm) -> PairGrid:
     """Evaluate a NATPAIR term to its breakpoint grid.
 
@@ -477,24 +449,17 @@ class ClassifyResult:
         return self.kind != "infinite"
 
 
-@lru_cache(maxsize=None)
+@_on_node
 def classify(t: SetTerm) -> ClassifyResult:
     """Exact classification of the term's denotation."""
-    if t.universe is Universe.NAT:
-        v = nat_value(t)
-        if not v.is_finite():
-            return ClassifyResult("infinite")
-        elems = tuple(v.elements())
-    else:
-        g = pair_grid(t)
-        if not g.is_finite():
-            return ClassifyResult("infinite")
-        elems = tuple(g.elements())
-    if not elems:
+    v = nat_value(t) if t.universe is Universe.NAT else pair_grid(t)
+    if not v.is_finite():
+        return ClassifyResult("infinite")
+    n = v.card()
+    if n == 0:
         return ClassifyResult("empty", 0, ())
-    if len(elems) > _ELEMENT_LIST_CAP:
-        return ClassifyResult("finite", len(elems), None)
-    return ClassifyResult("finite", len(elems), elems)
+    # count first: the listing is only built when it will be kept
+    return ClassifyResult("finite", n, tuple(v.elements()) if n <= _ELEMENT_LIST_CAP else None)
 
 
 # -- conversions back to terms ------------------------------------------

@@ -130,6 +130,18 @@ def test_bad_tail_start_exits_2(term):
     assert rc == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ap", "--I", '{"ideal":"uniform_product","base":{"ideal":"fin"},"cutoff":0}', "--J", "fin:natpair"],
+        ["set", "classify", "--term", '{"atom":"block","partition":"residues:0","index":1}'],
+    ],
+)
+def test_bad_constructor_input_exits_2(argv):
+    rc, out, err = run(argv)
+    assert rc == 2 and out == "" and err.startswith("error:")
+
+
 def test_member_boolean_element_exits_2():
     rc, out, err = run(
         ["set", "member", "--term", '{"atom":"tail","start":5}', "--element", "true"]

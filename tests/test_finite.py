@@ -105,7 +105,6 @@ def test_min_nbhd_and_hausdorff():
     assert not sierp.is_hausdorff()
     disc = FiniteSpace(2, (0, 0b01, 0b10, 0b11))
     assert disc.is_hausdorff()
-    assert FiniteSpace(2, (0, 0b11)).is_indiscrete()
 
 
 def test_continuous_tables_sierpinski():

@@ -5,7 +5,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 import idealconv as ic
 from idealconv import Tri, Universe
-from idealconv.errors import FinitePartition, PreimageNotRepresentable, UniverseMismatch
+from idealconv import serialize as S
+from idealconv.errors import (
+    FinitePartition,
+    PreconditionViolated,
+    PreimageNotRepresentable,
+    UniverseMismatch,
+)
 
 NAT = Universe.NAT
 PAIR = Universe.NATPAIR
@@ -311,3 +317,42 @@ def test_rejections():
         ic.in_ideal(ic.fin(NAT), ic.row(1))
     with pytest.raises(UniverseMismatch):
         ic.trace_ideal(ic.fin(NAT), ic.row(1))
+
+
+def test_product_constructors_check_their_inputs():
+    for make in (ic.uniform_product, ic.pointwise_product):
+        for bad in (0, -1, 1.5, True):
+            with pytest.raises(PreconditionViolated):
+                make(ic.fin(NAT), bad)
+        with pytest.raises(UniverseMismatch):
+            make(ic.fin(PAIR), 2)
+
+
+# --- hash-consing: one node per descriptor ---
+
+
+def test_equal_ideals_are_one_node():
+    assert ic.fin() is ic.fin() is ic.fin(NAT)
+    assert ic.fin(PAIR) is not ic.fin(NAT)
+    assert ic.pringsheim() is ic.pringsheim()
+    assert ic.partition_ideal(ic.RULER) is not ic.partition_ideal(ic.COLUMNS)
+    for build in (
+        lambda: ic.trace_ideal(ic.partition_ideal(ic.RULER), ic.block(ic.residues(3), 2)),
+        lambda: ic.uniform_product(ic.principal(ic.tail(4)), 2),
+        lambda: ic.pointwise_product(ic.fin(NAT), 2),
+        lambda: ic.pushforward(ic.fin(NAT), walk()),
+        lambda: ic.improper(PAIR),
+    ):
+        i = build()
+        assert build() is i
+        assert S.ideal_from_obj(S.ideal_to_obj(i)) is i
+    assert ic.uniform_product(ic.fin(NAT), 2) is not ic.pointwise_product(ic.fin(NAT), 2)
+    assert ic.uniform_product(ic.fin(NAT), 2) is not ic.uniform_product(ic.fin(NAT), 3)
+
+
+def test_trace_ideal_repr():
+    i = ic.trace_ideal(ic.partition_ideal(ic.RULER), ic.block(ic.residues(3), 2))
+    assert repr(i) == (
+        "Ideal(trace, nat, Block(partition=Partition(residues:3), index=2), "
+        "Ideal(partition, nat, ruler))"
+    )

@@ -10,6 +10,9 @@ threshold) and the same incidences on every term.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from math import gcd
 
@@ -277,3 +280,66 @@ def test_huge_atom_exits_2_in_cli(t):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(["set", "classify", "--term", term, "--ideal", "mac:ruler"])
     assert rc == 2 and out.getvalue() == "" and err.getvalue().startswith("error:")
+
+
+# -- big integers are refused on the exponent, in a child with capped memory --
+
+
+def _run_capped(code: str, mb: int) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter whose address space is capped at
+    mb MiB; the cap is set inside that child only."""
+    cap = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({mb} << 20, {mb} << 20))\n"
+    src = os.path.dirname(os.path.dirname(ic.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", cap + code], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+BIG_EXPONENTS = """
+import json
+import idealconv as ic
+
+push = ic.pushforward(ic.partition_ideal(ic.RULER), ic.RULER_CORNER)
+calls = [
+    lambda: ic.in_ideal(push, ic.row(20000)),
+    lambda: ic.in_ideal(push, ic.col(20000)),
+    lambda: ic.in_ideal(push, ic.upper_quad(20000)),
+    lambda: ic.classify(ic.block(ic.RULER, 10000)),
+    lambda: ic.classify(ic.block(ic.RULER, 10**10)),
+]
+out = []
+for call in calls:
+    try:
+        call()
+        out.append(None)
+    except Exception as e:
+        out.append([type(e).__name__, str(e)])
+print(json.dumps(out))
+"""
+
+
+def test_big_exponents_raise_size_too_large_in_512_mib():
+    r = _run_capped(BIG_EXPONENTS, 512)
+    assert r.returncode == 0, r.stderr
+    for name, msg in json.loads(r.stdout):
+        assert name == "SizeTooLarge" and len(msg) < 100
+
+
+def test_big_ruler_block_exits_2_with_a_short_message_in_512_mib():
+    term = json.dumps({"atom": "block", "partition": "ruler", "index": 10000})
+    code = f"import sys\nfrom idealconv import cli\nsys.exit(cli.main(['set', 'classify', '--term', {term!r}]))\n"
+    r = _run_capped(code, 512)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error:") and len(r.stderr) < 120
+
+
+def test_classify_counts_before_it_lists_in_256_mib():
+    code = (
+        "import idealconv as ic\n"
+        "c = ic.classify(ic.compl(ic.tail(10**7)))\n"
+        "print(c.kind, c.cardinality, c.elements)\n"
+    )
+    r = _run_capped(code, 256)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["finite", "9999999", "None"]

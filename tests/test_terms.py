@@ -1,10 +1,14 @@
 """Set term semantics: membership, truncation, exact classification."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import idealconv as ic
 from idealconv import Universe
+from idealconv import serialize as S
 from idealconv import terms as T
 
 NAT = Universe.NAT
@@ -301,3 +305,64 @@ def test_atom_indices_must_be_positive_integers():
             ic.block(ic.RULER, bad)
     with pytest.raises(ic.PreconditionViolated):
         ic.block(ic.residues(3), 4)
+
+
+def test_union_and_inter_need_an_operand():
+    for make in (ic.union, ic.inter):
+        with pytest.raises(ic.PreconditionViolated):
+            make()
+
+
+def test_residue_modulus_must_be_a_positive_integer():
+    for bad in (0, -2, "3", True):
+        with pytest.raises(ic.PreconditionViolated):
+            ic.residues(bad)
+
+
+# --- hash-consing: one node per structure ---
+
+
+def _nested():
+    return ic.diff(
+        ic.union(ic.block(ic.RULER, 2), ic.finite_set(NAT, [7])), ic.compl(ic.tail(3))
+    )
+
+
+def test_equal_constructions_are_one_node():
+    t = _nested()
+    assert _nested() is t
+    assert S.term_from_obj(S.term_to_obj(t)) is t
+    assert ic.finite_set(NAT, [3, 1, 3]) is ic.finite_set(NAT, (1, 3))
+    assert ic.block(ic.residues(3), 2) is ic.block(ic.residues(3), 2)
+    assert ic.empty(NAT) is not ic.empty(PAIR)
+    assert ic.tail(3) is not ic.compl(ic.tail(3))
+    assert ic.union(ic.tail(3), ic.tail(4)) is not ic.union(ic.tail(4), ic.tail(3))
+
+
+def _structure(t):
+    return S.canonical_dumps(S.term_to_obj(t))
+
+
+@settings(max_examples=200)
+@given(any_terms, any_terms)
+def test_identity_is_structural_equality(a, b):
+    assert S.term_from_obj(S.term_to_obj(a)) is a
+    assert (a is b) == (_structure(a) == _structure(b))
+
+
+def test_unreachable_terms_leave_the_table():
+    t = ic.union(ic.tail(98_765), ic.finite_set(NAT, [98_764]))
+    assert ic.classify(t).cardinality is None
+    refs = [weakref.ref(n) for n in (t, *t.terms)]
+    del t
+    gc.collect()
+    assert all(r() is None for r in refs)
+    assert (T.Tail, 98_765) not in T._NODES
+
+
+def test_repr_is_structural():
+    assert repr(_nested()) == (
+        "Diff(left=Union(terms=(Block(partition=Partition(ruler), index=2), "
+        "FiniteSet(universe=Universe.NAT, elements=frozenset({7})))), "
+        "right=Compl(term=Tail(start=3, universe=Universe.NAT)))"
+    )
