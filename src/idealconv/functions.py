@@ -192,6 +192,7 @@ def evaluate(f: PiecewiseFn, e):
     raise InvalidFunction(f"no piece covers {e!r}")
 
 
+@T.on_node
 def remainder_term(f: PiecewiseFn) -> SetTerm:
     """Region covered by neither pieces nor diagonal (diagonal covers
     everything outside the pieces)."""

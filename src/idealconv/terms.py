@@ -26,7 +26,7 @@ from functools import wraps
 
 from .errors import PreconditionViolated, UniverseMismatch, UnsupportedCombination
 from .natset import PeriodicSet, pow2
-from .pairset import PairGrid
+from .pairset import Cells, PairGrid
 from .partitions import Partition, block_contains
 from .universe import Universe, check_element, elements_upto
 
@@ -90,9 +90,10 @@ def interned(cls, *fields):
     return node
 
 
-def _on_node(fn):
-    """Memoise a one-term function on the term node itself, so the
-    result lives exactly as long as the node."""
+def on_node(fn):
+    """Memoise a one-argument function on its argument's own __dict__
+    (a term node, or a function object), so the result lives exactly as
+    long as the argument."""
     slot = "_" + fn.__name__
 
     @wraps(fn)
@@ -168,47 +169,47 @@ class Col(SetTerm):
 class Block(SetTerm):
     partition: Partition
     index: int
+    universe: Universe = field(init=False, repr=False)
 
-    @property
-    def universe(self):
-        return self.partition.universe
+    def __post_init__(self):
+        object.__setattr__(self, "universe", self.partition.universe)
 
 
 @dataclass(frozen=True, eq=False)
 class Compl(SetTerm):
     term: SetTerm
+    universe: Universe = field(init=False, repr=False)
 
-    @property
-    def universe(self):
-        return self.term.universe
+    def __post_init__(self):
+        object.__setattr__(self, "universe", self.term.universe)
 
 
 @dataclass(frozen=True, eq=False)
 class Union(SetTerm):
     terms: tuple
+    universe: Universe = field(init=False, repr=False)
 
-    @property
-    def universe(self):
-        return self.terms[0].universe
+    def __post_init__(self):
+        object.__setattr__(self, "universe", self.terms[0].universe)
 
 
 @dataclass(frozen=True, eq=False)
 class Inter(SetTerm):
     terms: tuple
+    universe: Universe = field(init=False, repr=False)
 
-    @property
-    def universe(self):
-        return self.terms[0].universe
+    def __post_init__(self):
+        object.__setattr__(self, "universe", self.terms[0].universe)
 
 
 @dataclass(frozen=True, eq=False)
 class Diff(SetTerm):
     left: SetTerm
     right: SetTerm
+    universe: Universe = field(init=False, repr=False)
 
-    @property
-    def universe(self):
-        return self.left.universe
+    def __post_init__(self):
+        object.__setattr__(self, "universe", self.left.universe)
 
 
 # -- constructors ------------------------------------------------------
@@ -327,7 +328,7 @@ def truncate(t: SetTerm, bound: int):
 # -- evaluation to closed normal forms ---------------------------------
 
 
-@_on_node
+@on_node
 def nat_value(t: SetTerm) -> PeriodicSet:
     """Evaluate a NAT term to its eventually periodic set."""
     if t.universe is not Universe.NAT:
@@ -369,6 +370,24 @@ def _nat_value(t: SetTerm) -> PeriodicSet:
     raise UnsupportedCombination(f"no NAT evaluation rule for {type(t).__name__}")
 
 
+def _boxes(t: SetTerm):
+    """An infinite NATPAIR atom as boxes (xlo, xhi, ylo, yhi), a None hi
+    being unbounded, whose union it is."""
+    pid = t.partition.pid if isinstance(t, Block) else None
+    if isinstance(t, UpperQuad):
+        return ((t.start, None, t.start, None),)
+    if isinstance(t, Row):
+        return ((1, None, t.index, t.index),)
+    if isinstance(t, Col) or pid == "columns":
+        return ((t.index, t.index, 1, None),)
+    if pid == "corner":
+        i = t.index
+        return ((i, None, i, i), (i, i, i + 1, None))
+    if pid is not None:
+        raise UnsupportedCombination(f"partition {pid} has no pair-grid rule")
+    raise UnsupportedCombination(f"no breakpoint rule for {type(t).__name__}")
+
+
 def _breaks(t: SetTerm, xs: set, ys: set):
     if isinstance(t, (Empty, Full)):
         return
@@ -377,26 +396,6 @@ def _breaks(t: SetTerm, xs: set, ys: set):
             xs.update((a, a + 1))
             ys.update((b, b + 1))
         return
-    if isinstance(t, UpperQuad):
-        xs.add(t.start)
-        ys.add(t.start)
-        return
-    if isinstance(t, Row):
-        ys.update((t.index, t.index + 1))
-        return
-    if isinstance(t, Col):
-        xs.update((t.index, t.index + 1))
-        return
-    if isinstance(t, Block):
-        pid = t.partition.pid
-        if pid == "columns":
-            xs.update((t.index, t.index + 1))
-            return
-        if pid == "corner":
-            xs.update((t.index, t.index + 1))
-            ys.update((t.index, t.index + 1))
-            return
-        raise UnsupportedCombination(f"partition {pid} has no pair-grid rule")
     if isinstance(t, Compl):
         _breaks(t.term, xs, ys)
         return
@@ -408,27 +407,61 @@ def _breaks(t: SetTerm, xs: set, ys: set):
         _breaks(t.left, xs, ys)
         _breaks(t.right, xs, ys)
         return
-    raise UnsupportedCombination(f"no breakpoint rule for {type(t).__name__}")
+    for xlo, xhi, ylo, yhi in _boxes(t):
+        xs.add(xlo)
+        ys.add(ylo)
+        if xhi is not None:
+            xs.add(xhi + 1)
+        if yhi is not None:
+            ys.add(yhi + 1)
 
 
-@_on_node
+@on_node
 def pair_grid(t: SetTerm) -> PairGrid:
     """Evaluate a NATPAIR term to its breakpoint grid.
 
-    Every atom's membership is constant on each grid cell (the cuts
-    include every threshold an atom mentions), so sampling one
-    representative per cell determines the term everywhere.
+    Every atom is a union of cells of the grid whose cuts include every
+    threshold an atom mentions, so the term is one cell mask, built
+    bottom-up from the atoms' masks.
     """
     if t.universe is not Universe.NATPAIR:
         raise UniverseMismatch("pair_grid requires a NATPAIR term")
     xs, ys = {1}, {1}
     _breaks(t, xs, ys)
-    xcuts = tuple(sorted(xs))
-    ycuts = tuple(sorted(ys))
-    truth = tuple(
-        tuple(_member(t, (a, b)) for b in ycuts) for a in xcuts
-    )
-    return PairGrid(xcuts, ycuts, truth)
+    cells = Cells(tuple(sorted(xs)), tuple(sorted(ys)))
+    return PairGrid(cells.xcuts, cells.ycuts, _pair_mask(t, cells, {}))
+
+
+def _pair_mask(t: SetTerm, cells: Cells, memo: dict) -> int:
+    """t's cell mask; memo holds those of the subterms met so far, which
+    hash-consing lets a term share."""
+    m = memo.get(t)
+    if m is not None:
+        return m
+    if isinstance(t, Empty):
+        m = 0
+    elif isinstance(t, Full):
+        m = cells.full
+    elif isinstance(t, FiniteSet):
+        m = cells.points(t.elements)
+    elif isinstance(t, Compl):
+        m = cells.full ^ _pair_mask(t.term, cells, memo)
+    elif isinstance(t, Union):
+        m = 0
+        for s in t.terms:
+            m |= _pair_mask(s, cells, memo)
+    elif isinstance(t, Inter):
+        m = cells.full
+        for s in t.terms:
+            m &= _pair_mask(s, cells, memo)
+    elif isinstance(t, Diff):
+        m = _pair_mask(t.left, cells, memo) & ~_pair_mask(t.right, cells, memo)
+    else:
+        m = 0
+        for box in _boxes(t):
+            m |= cells.box(*box)
+    memo[t] = m
+    return m
 
 
 # -- classification -----------------------------------------------------
@@ -449,7 +482,7 @@ class ClassifyResult:
         return self.kind != "infinite"
 
 
-@_on_node
+@on_node
 def classify(t: SetTerm) -> ClassifyResult:
     """Exact classification of the term's denotation."""
     v = nat_value(t) if t.universe is Universe.NAT else pair_grid(t)
