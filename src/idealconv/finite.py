@@ -19,7 +19,22 @@ the embedded model only ever matter on 1..n, which is why the embedding
 preserves both convergence and star verdicts.
 
 lemma_suite evaluates the structural facts the toolkit relies on, each
-quantified exhaustively over a small size.
+quantified exhaustively over a small size.  It first fills three tables
+from the literal brute_i_limits and brute_ihj calls, for every space s,
+sequence f (its position in _all_fns) and point x:
+
+* lim[s][f][g], the limit set under generator g as a point mask;
+* lim_t[s][f][x], the same table transposed: bit g is set iff x is a
+  limit under generator g (2^n bits);
+* star[s][f][x], one star row: bit gi << n | gj is the brute_ihj verdict
+  for base generator gi and aux generator gj (2^(2n) bits).
+
+Each claim then checks all ideals of one instance (a map, a sequence,
+or a sequence and a point) with a few word operations on those rows.
+The set bits of a failed test name the violations, in the order of the
+literal loops; the continuous-image and monotonicity claims, whose
+tests do not keep which pair failed, rerun their literal loop on that
+one instance.
 """
 
 from __future__ import annotations
@@ -422,6 +437,22 @@ def _fn_index(fn: tuple, m: int) -> int:
     return idx
 
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _bits(v: int):
+    """The positions of the set bits of v, ascending."""
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
+
+
+def _pack(verdicts) -> int:
+    """The verdicts as one int: bit k is the k-th verdict."""
+    return int(bytes(verdicts).translate(_DIGITS)[::-1], 2)
+
+
 def lemma_suite(n: int, max_points: int = 3) -> SuiteReport:
     """Exhaustively check the structural facts on universes of size n
     with codomain spaces of up to max_points points."""
@@ -431,25 +462,26 @@ def lemma_suite(n: int, max_points: int = 3) -> SuiteReport:
     spaces = _spaces_upto(max_points)
     fns_of = [_all_fns(n, sp.m) for sp in spaces]
     full = (1 << n) - 1
+    ng = full + 1  # generators
+    npairs = ng * ng
 
-    # Dense tables filled by the literal loops, indexed by the space's
-    # position in `spaces`, the sequence's position in _all_fns and the
-    # generator masks: lim[s][f][g] is the limit set as a bitmask over
-    # the points, star[s][f][x][gi << n | gj] the brute_ihj verdict.
+    # Tables filled by the literal loops (layout in the module docstring).
     lim = [
         [[sum(1 << x for x in brute_i_limits(fn, i, sp)) for i in ideals] for fn in fns]
         for sp, fns in zip(spaces, fns_of)
     ]
+    lim_t = [
+        [[sum(1 << g for g in range(ng) if row[g] >> x & 1) for x in range(sp.m)] for row in lim_s]
+        for sp, lim_s in zip(spaces, lim)
+    ]
     star = [
         [
-            [
-                bytes(brute_ihj(fn, i, j, sp, x)[0] for i in ideals for j in ideals)
-                for x in range(sp.m)
-            ]
+            [_pack(brute_ihj(fn, i, j, sp, x)[0] for i in ideals for j in ideals) for x in range(sp.m)]
             for fn in fns
         ]
         for sp, fns in zip(spaces, fns_of)
     ]
+    below = [(a, b) for a in range(ng) for b in range(ng) if a & ~b == 0]
 
     claims = []
 
@@ -503,16 +535,40 @@ def lemma_suite(n: int, max_points: int = 3) -> SuiteReport:
     @claim("continuous-image-of-limits")
     def _c4():
         checked, bad = 0, []
-        for sp1, fns1, lim1 in zip(spaces, fns_of, lim):
-            for sp2, lim2 in zip(spaces, lim):
+
+        def blocks(rows, pts, width):
+            """The transposed rows at the points pts, one ng-bit block per
+            point, as `width` bytes."""
+            return sum(rows[y] << x * ng for x, y in enumerate(pts)).to_bytes(width, "little")
+
+        # images[s2, tbl]: for every sequence of the domain in turn, the
+        # blocks of its image under tbl at the image points tbl[0], tbl[1],
+        # ...; a map holds iff each domain block lies inside its image's
+        images = {}
+        for sp1, fns1, lim1, lim_t1 in zip(spaces, fns_of, lim, lim_t):
+            width = (sp1.m * ng + 7) // 8
+            own = int.from_bytes(
+                b"".join(blocks(rows, range(sp1.m), width) for rows in lim_t1), "little"
+            )
+            for s2, (sp2, lim2) in enumerate(zip(spaces, lim)):
                 for tbl in continuous_tables(sp1, sp2):
+                    checked += len(fns1) * ng
+                    image = images.get((s2, tbl))
+                    if image is None:
+                        pos = [0]  # pos[f]: position of tbl . fns1[f] in fns_of[s2]
+                        for _ in range(n):
+                            pos = [f2 * sp2.m + y for f2 in pos for y in tbl]
+                        image = images[s2, tbl] = int.from_bytes(
+                            b"".join(blocks(lim_t[s2][f2], tbl, width) for f2 in pos), "little"
+                        )
+                    if not own & ~image:
+                        continue
                     img = [0]  # img[a]: the image of point mask a
                     for x in range(sp1.m):
                         img += [b | 1 << tbl[x] for b in img]
                     for fn, row1 in zip(fns1, lim1):
                         row2 = lim2[_fn_index([tbl[v] for v in fn], sp2.m)]
                         for g in range(full + 1):
-                            checked += 1
                             if img[row1[g]] & ~row2[g]:
                                 bad.append(
                                     f"map={tbl} gen={g} sp={sp1.opens}->{sp2.opens} fn={fn}"
@@ -535,32 +591,32 @@ def lemma_suite(n: int, max_points: int = 3) -> SuiteReport:
     @claim("aux-convergence-gives-star")
     def _c6():
         checked, bad = 0, []
-        for sp, fns, lim_s, star_s in zip(spaces, fns_of, lim, star):
-            for fn, row, star_f in zip(fns, lim_s, star_s):
-                for gj in range(full + 1):
-                    for x in range(sp.m):
-                        if not row[gj] >> x & 1:
-                            continue
-                        for gi in range(full + 1):
-                            checked += 1
-                            if not star_f[x][gi << n | gj]:
-                                bad.append(
-                                    f"gens={gi},{gj} sp={sp.opens} fn={fn} x={x}"
-                                )
+        every_gi = ((1 << npairs) - 1) // ((1 << ng) - 1)  # bit gi * ng for each gi
+        for sp, fns, lim_ts, star_s in zip(spaces, fns_of, lim_t, star):
+            for fn, rows, star_f in zip(fns, lim_ts, star_s):
+                found = []  # (gj, x, gi): the literal loops' order
+                for x, (gjs, verdicts) in enumerate(zip(rows, star_f)):
+                    checked += gjs.bit_count() * ng
+                    found += ((p & full, x, p >> n) for p in _bits(gjs * every_gi & ~verdicts))
+                bad += (f"gens={gi},{gj} sp={sp.opens} fn={fn} x={x}" for gj, x, gi in sorted(found))
         return checked, bad
 
     @claim("star-monotone-in-both-ideals")
     def _c7():
         checked, bad = 0, []
-        gens = [(a, b) for a in range(full + 1) for b in range(full + 1) if a & ~b == 0]
+        # clear[b]: the positions whose bit b is 0; a row is monotone iff
+        # setting any one bit of a true position keeps it true
+        clear = [sum(1 << p for p in range(npairs) if not p >> b & 1) for b in range(2 * n)]
         for sp, fns, star_s in zip(spaces, fns_of, star):
             for fn, star_f in zip(fns, star_s):
                 for x, verdicts in enumerate(star_f):
-                    for gi1, gi2 in gens:
+                    checked += len(below) ** 2
+                    if not any((verdicts & c) << (1 << b) & ~verdicts for b, c in enumerate(clear)):
+                        continue
+                    for gi1, gi2 in below:
                         r1, r2 = gi1 << n, gi2 << n
-                        for gj1, gj2 in gens:
-                            checked += 1
-                            if verdicts[r1 | gj1] and not verdicts[r2 | gj2]:
+                        for gj1, gj2 in below:
+                            if verdicts >> (r1 | gj1) & 1 and not verdicts >> (r2 | gj2) & 1:
                                 bad.append(
                                     f"gens={gi1}<{gi2},{gj1}<{gj2} sp={sp.opens} fn={fn} x={x}"
                                 )
@@ -569,18 +625,19 @@ def lemma_suite(n: int, max_points: int = 3) -> SuiteReport:
     @claim("star-forces-base-when-aux-refines")
     def _c8():
         checked, bad = 0, []
-        for sp, fns, lim_s, star_s in zip(spaces, fns_of, lim, star):
-            for fn, row, star_f in zip(fns, lim_s, star_s):
-                for gi in range(full + 1):
-                    for gj in range(full + 1):
-                        if gj & ~gi:
-                            continue
-                        for x in range(sp.m):
-                            checked += 1
-                            if star_f[x][gi << n | gj] and not row[gi] >> x & 1:
-                                bad.append(
-                                    f"gens={gi},{gj} sp={sp.opens} fn={fn} x={x}"
-                                )
+        nested = sum(1 << (gi << n | gj) for gj, gi in below)
+
+        @lru_cache(maxsize=None)
+        def outside(gis):  # the nested positions whose gi is not in gis
+            return nested & ~sum(((1 << ng) - 1) << gi * ng for gi in range(ng) if gis >> gi & 1)
+
+        for sp, fns, lim_ts, star_s in zip(spaces, fns_of, lim_t, star):
+            for fn, rows, star_f in zip(fns, lim_ts, star_s):
+                checked += len(below) * sp.m
+                found = sorted(
+                    (p, x) for x, (gis, v) in enumerate(zip(rows, star_f)) for p in _bits(v & outside(gis))
+                )
+                bad += (f"gens={p >> n},{p & full} sp={sp.opens} fn={fn} x={x}" for p, x in found)
         return checked, bad
 
     @claim("gap-function-when-aux-escapes-base")
@@ -601,7 +658,7 @@ def lemma_suite(n: int, max_points: int = 3) -> SuiteReport:
                         y = ys[0]
                         f = _fn_index([y if a >> k & 1 else x for k in range(n)], sp.m)
                         checked += 1
-                        if not star[s][f][x][gi << n | gj]:
+                        if not star[s][f][x] >> (gi << n | gj) & 1:
                             bad.append(f"gens={gi},{gj} sp={sp.opens} x={x}")
                         elif lim[s][f][gi] >> x & 1:
                             bad.append(f"base-converges gens={gi},{gj} sp={sp.opens} x={x}")
@@ -610,34 +667,29 @@ def lemma_suite(n: int, max_points: int = 3) -> SuiteReport:
     @claim("star-matches-trace-restriction")
     def _c10():
         checked, bad = 0, []
+        # The trace condition reads the escapes of the opens around x only
+        # through their union e, so via[e] holds its verdicts for every
+        # (gi, gj) pair, each from the literal quantifier over m.
+        via = [
+            _pack(
+                any(not (~m & full) & ~gi and not (m & e) & ~gj for m in range(full + 1))
+                for gi in range(full + 1)
+                for gj in range(full + 1)
+            )
+            for e in range(full + 1)
+        ]
         for sp, fns, star_s in zip(spaces, fns_of, star):
+            # an index escapes some open around x iff its value leaves
+            # the smallest one
+            nbhds = [sp.min_nbhd(x) for x in range(sp.m)]
             for fn, star_f in zip(fns, star_s):
-                for i in ideals:
-                    for j in ideals:
-                        for x in range(sp.m):
-                            checked += 1
-                            via_trace = False
-                            for m in range(full + 1):
-                                if (~m & full) & ~i.gen:
-                                    continue
-                                if all(
-                                    not (
-                                        sum(
-                                            1 << k
-                                            for k in range(n)
-                                            if m >> k & 1 and not (u >> fn[k] & 1)
-                                        )
-                                        & ~j.gen
-                                    )
-                                    for u in sp.opens
-                                    if u >> x & 1
-                                ):
-                                    via_trace = True
-                                    break
-                            if via_trace != star_f[x][i.gen << n | j.gen]:
-                                bad.append(
-                                    f"gens={i.gen},{j.gen} sp={sp.opens} fn={fn} x={x}"
-                                )
+                checked += npairs * sp.m
+                found = sorted(
+                    (p, x)
+                    for x, (nb, v) in enumerate(zip(nbhds, star_f))
+                    for p in _bits(v ^ via[sum(1 << k for k, y in enumerate(fn) if not nb >> y & 1)])
+                )
+                bad += (f"gens={p >> n},{p & full} sp={sp.opens} fn={fn} x={x}" for p, x in found)
         return checked, bad
 
     @claim("decomposition-recombines")

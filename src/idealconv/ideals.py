@@ -28,6 +28,7 @@ lies in the ideal.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -221,10 +222,12 @@ def in_ideal(i: Ideal, t: SetTerm) -> bool:
         iv = pair_grid(t).project_second(i.cutoff)
         return in_ideal(i.base, T.interval_set_to_term(iv))
     if k == "pointwise_product":
+        # the cut is constant on each x group, so one x per group meeting
+        # [1, cutoff] decides: the group's first, xcuts[ix]
         g = pair_grid(t)
         return all(
             in_ideal(i.base, T.interval_set_to_term(g.cut_at(x)))
-            for x in range(1, i.cutoff + 1)
+            for x in g.xcuts[: bisect_right(g.xcuts, i.cutoff)]
         )
     if k == "pushforward":
         return in_ideal(i.base, preimage_term(i.bijection, t))

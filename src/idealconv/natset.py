@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import SizeTooLarge
+from .errors import PreconditionViolated, SizeTooLarge
 
 __all__ = ["PeriodicSet", "pow2", "v2"]
 
@@ -101,7 +101,8 @@ class PeriodicSet:
     @staticmethod
     def from_finite(elems) -> "PeriodicSet":
         elems = frozenset(elems)
-        assert all(isinstance(n, int) and n >= 1 for n in elems)
+        if not all(isinstance(n, int) and n >= 1 for n in elems):
+            raise PreconditionViolated("a finite NAT set holds integers >= 1 only")
         t = _fit(max(elems) + 1 if elems else 1)
         buf = bytearray((t + 7) // 8)
         for n in elems:

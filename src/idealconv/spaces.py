@@ -87,7 +87,8 @@ class FiniteTop:
 
 def finite_top(points, opens) -> FiniteTop:
     pts = tuple(points)
-    assert len(set(pts)) == len(pts), "duplicate points"
+    if len(set(pts)) != len(pts):
+        raise PreconditionViolated("duplicate points")
     ops = frozenset(frozenset(o) for o in opens)
     universe = frozenset(pts)
     if frozenset() not in ops or universe not in ops:

@@ -135,6 +135,11 @@ def test_bad_tail_start_exits_2(term):
     [
         ["ap", "--I", '{"ideal":"uniform_product","base":{"ideal":"fin"},"cutoff":0}', "--J", "fin:natpair"],
         ["set", "classify", "--term", '{"atom":"block","partition":"residues:0","index":1}'],
+        [
+            "conv", "decide", "--I", "fin", "--x", '"a"', "--fn",
+            '{"universe":"nat","codomain":{"points":["a","a"],"opens":[[],["a"]]},'
+            '"pieces":[],"default":"a"}',
+        ],
     ],
 )
 def test_bad_constructor_input_exits_2(argv):

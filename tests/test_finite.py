@@ -1,12 +1,13 @@
 """Finite-universe oracles: enumerations, brute decisions, fact suite."""
 
+import hashlib
 from fractions import Fraction as Fr
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import idealconv as ic
-from idealconv import FiniteIdeal, FiniteSpace, Universe
+from idealconv import FiniteIdeal, FiniteSpace, Universe, finite
 from idealconv.errors import SizeTooLarge
 
 
@@ -178,6 +179,91 @@ def test_lemma_suite_checked_counts():
     assert [c.checked for c in rep.claims] == [
         278, 2502, 42, 389208, 556, 8744, 66096, 7344, 490, 13056, 300, 4
     ]
+
+
+def test_lemma_suite_checked_counts_size_three():
+    rep = ic.lemma_suite(3)
+    assert rep.ok
+    assert [c.checked for c in rep.claims] == [
+        816, 22032, 252, 2309904, 2448, 87696, 1759806, 65178, 2590, 154496, 3000, 8
+    ]
+
+
+def test_lemma_suite_oracle_call_counts(monkeypatch):
+    # every limit set and every star verdict comes from one literal call
+    calls = {"ihj": 0, "limits": 0}
+
+    def counted(name, fnc):
+        def wrapper(*args):
+            calls[name] += 1
+            return fnc(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(finite, "brute_ihj", counted("ihj", finite.brute_ihj))
+    monkeypatch.setattr(finite, "brute_i_limits", counted("limits", finite.brute_i_limits))
+    assert ic.lemma_suite(2).ok
+    assert calls == {"ihj": 13056, "limits": 1112}
+
+
+SIERPINSKI = (0, 0b01, 0b11)
+
+
+def _violations(rep):
+    return {c.name: c.violations for c in rep.claims if c.violations}
+
+
+def test_lemma_suite_single_star_flip(monkeypatch):
+    # one true star verdict reported false: each claim reading it names
+    # exactly that instance
+    orig = finite.brute_ihj
+
+    def flipped(fn, i, j, sp, x):
+        found, m = orig(fn, i, j, sp, x)
+        if sp.opens == SIERPINSKI and fn == (1, 0) and (i.gen, j.gen, x) == (0, 3, 0):
+            return not found, None
+        return found, m
+
+    monkeypatch.setattr(finite, "brute_ihj", flipped)
+    assert _violations(ic.lemma_suite(2)) == {
+        "aux-convergence-gives-star": ("gens=0,3 sp=(0, 1, 3) fn=(1, 0) x=0",),
+        "star-monotone-in-both-ideals": ("gens=0<0,1<3 sp=(0, 1, 3) fn=(1, 0) x=0",),
+        "gap-function-when-aux-escapes-base": ("gens=0,3 sp=(0, 1, 3) x=0",),
+        "star-matches-trace-restriction": ("gens=0,3 sp=(0, 1, 3) fn=(1, 0) x=0",),
+    }
+
+
+def test_lemma_suite_dropped_limit(monkeypatch):
+    # point 1 dropped from one limit set: the continuous images of every
+    # sequence mapped onto (1, 1) now escape it
+    orig = finite.brute_i_limits
+
+    def dropped(fn, i, sp):
+        out = orig(fn, i, sp)
+        if sp.opens == SIERPINSKI and fn == (1, 1) and i.gen == 1:
+            return [x for x in out if x != 1]
+        return out
+
+    monkeypatch.setattr(finite, "brute_i_limits", dropped)
+    got = _violations(ic.lemma_suite(2))
+    image = got.pop("continuous-image-of-limits")
+    assert len(image) == 460
+    assert image[:3] == (
+        "map=(1,) gen=1 sp=(0, 1)->(0, 1, 3) fn=(0, 0)",
+        "map=(1, 1) gen=1 sp=(0, 3)->(0, 1, 3) fn=(0, 0)",
+        "map=(1, 1) gen=1 sp=(0, 3)->(0, 1, 3) fn=(0, 1)",
+    )
+    assert hashlib.sha256("\n".join(image).encode()).hexdigest() == (
+        "28eb807bc3ebba68bafee909a4c0c3fcb8de03b3fcbc85942fd06888d3b5df27"
+    )
+    assert got == {
+        "limits-grow-with-the-ideal": ("gens=0,1 sp=(0, 1, 3) fn=(1, 1)",),
+        "maximal-ideal-limits-exist": ("gen=1 sp=(0, 1, 3) fn=(1, 1)",),
+        "star-forces-base-when-aux-refines": (
+            "gens=1,0 sp=(0, 1, 3) fn=(1, 1) x=1",
+            "gens=1,1 sp=(0, 1, 3) fn=(1, 1) x=1",
+        ),
+    }
 
 
 def _violated_claims(rep):

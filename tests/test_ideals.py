@@ -6,12 +6,14 @@ from hypothesis import assume, given, settings, strategies as st
 import idealconv as ic
 from idealconv import Tri, Universe
 from idealconv import serialize as S
+from idealconv import terms as T
 from idealconv.errors import (
     FinitePartition,
     PreconditionViolated,
     PreimageNotRepresentable,
     UniverseMismatch,
 )
+from idealconv.pairset import PairGrid
 
 NAT = Universe.NAT
 PAIR = Universe.NATPAIR
@@ -218,17 +220,22 @@ def test_known_subset_frozen():
         ic.known_subset(ic.fin(NAT), ic.pringsheim())
 
 
+# the (a, b) case pairs whose containment known_subset claims
+SUBSET_PAIRS = [
+    (ai, bi)
+    for ai, (a, _, _) in enumerate(CASES)
+    for bi, (b, _, _) in enumerate(CASES)
+    if a.universe is b.universe and ic.known_subset(a, b)
+]
+
+
 @settings(max_examples=200)
-@given(st.data())
-def test_known_subset_sound_on_members(data):
+@given(st.sampled_from(SUBSET_PAIRS), st.data())
+def test_known_subset_sound_on_members(pair, data):
     # a claimed containment must hold on every sampled member
-    ai = data.draw(CASE_IDS)
-    bi = data.draw(CASE_IDS)
+    ai, bi = pair
     a, members, _ = CASES[ai]
     b = CASES[bi][0]
-    assume(a.universe is b.universe)
-    if not ic.known_subset(a, b):
-        assume(False)
     m = data.draw(members)
     try:
         assert ic.in_ideal(b, m), (a, b, m)
@@ -326,6 +333,40 @@ def test_product_constructors_check_their_inputs():
                 make(ic.fin(NAT), bad)
         with pytest.raises(UniverseMismatch):
             make(ic.fin(PAIR), 2)
+
+
+POINTWISE_BASES = [
+    ic.fin(NAT),
+    ic.improper(NAT),
+    ic.principal(ic.tail(10)),
+    ic.partition_ideal(ic.RULER),
+    ic.trace_ideal(ic.fin(NAT), ODDS),
+]
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(POINTWISE_BASES), st.integers(1, 20), pair_terms)
+def test_pointwise_product_matches_per_x_loop(base, cutoff, t):
+    # the definition: every cut at x = 1..cutoff lies in the base ideal
+    g = ic.pair_grid(t)
+    want = all(
+        ic.in_ideal(base, T.interval_set_to_term(g.cut_at(x))) for x in range(1, cutoff + 1)
+    )
+    assert ic.in_ideal(ic.pointwise_product(base, cutoff), t) == want
+
+
+def test_pointwise_product_cost_follows_the_grid_not_the_cutoff(monkeypatch):
+    # one cut, and so one base-ideal call, per x group meeting [1, cutoff]
+    # rather than one per x
+    cuts = []
+    cut_at = PairGrid.cut_at
+    monkeypatch.setattr(PairGrid, "cut_at", lambda g, x: cuts.append(x) or cut_at(g, x))
+    ic.in_ideal.cache_clear()
+    i = ic.pointwise_product(ic.fin(NAT), 10**5)
+    for t, want in ((ic.row(1), True), (ic.col(10**5), False)):
+        cuts.clear()
+        assert ic.in_ideal(i, t) == want
+        assert 1 <= len(cuts) <= len(T.pair_grid(t).xcuts)
 
 
 # --- hash-consing: one node per descriptor ---

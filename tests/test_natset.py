@@ -21,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 import idealconv as ic
 from idealconv import Universe, cli
-from idealconv.natset import v2
+from idealconv.errors import PreconditionViolated
+from idealconv.natset import PeriodicSet, v2
 
 NAT = Universe.NAT
 
@@ -211,6 +212,14 @@ def test_normal_form_fixed_cases():
 
 
 # -- cost grows with term size, not integer magnitude (verdicts only) --
+
+
+def test_bad_finite_input_raises_precondition_violated():
+    for elems in ([0], [3, -1], ["a"]):
+        with pytest.raises(PreconditionViolated):
+            PeriodicSet.from_finite(elems)
+    with pytest.raises(PreconditionViolated):
+        ic.finite_top(["a", "a"], [[], ["a"]])
 
 
 def test_large_tail_against_ruler_block():
