@@ -37,6 +37,7 @@ from .ideals import (
     in_ideal,
     known_subset,
     partition_ideal,
+    partition_incidence,
     subseteq_mod,
 )
 from .partitions import Partition, block_count_upto
@@ -162,13 +163,13 @@ def certify_failure_on_truncation(w: BlockFamilyWitness, samples, bound: int) ->
     for a in samples:
         if not in_ideal(i, a):
             raise SampleNotInIdeal(f"{a!r} is not a member of the partition ideal")
-        n, overlap_cls = 1, None
-        while True:
+        # a meets only the blocks in met, so one of the first len(met) + 1
+        # blocks has finite overlap with it
+        _, met = partition_incidence(p, a)
+        for n in range(1, len(met) + 2):
             overlap_cls = classify(T.inter(T.block(p, n), a))
             if overlap_cls.is_finite():
                 break
-            n += 1
-            assert n <= 10_000, "sample meets implausibly many blocks"
         c = overlap_cls.cardinality
         survivors = len(T.truncate(T.diff(T.block(p, n), a), bound))
         inside = len(T.truncate(T.inter(T.block(p, n), a), bound))

@@ -14,6 +14,12 @@ for the catalog:
   for the partition; away from the target the finitely many blocks whose
   values sit near x are computed exactly.
 
+Wherever escapes stabilize, the largest escape set is the escape term,
+built once per (f, x).  x lies in every neighborhood of x, so f
+overwritten with x outside m has escape term (escape of f) & m: rung (c)
+and the dominance check of rung (e) ask in_ideal(j, escape & m) and build
+no modified function; verify_witness still builds one, as a re-check.
+
 star_converges(f, i, j, x) asks for m in the dual filter of i with the
 modification of f outside m j-convergent to x.  The decision ladder:
 
@@ -72,6 +78,7 @@ from .ideals import (
 from .partitions import Partition
 from .spaces import FiniteTop, MetricLine, as_fraction
 from .terms import SetTerm, classify
+from .universe import Universe
 
 __all__ = [
     "Verdict",
@@ -107,27 +114,17 @@ class StarResult:
 
 
 def _check_target(f: PiecewiseFn, x):
-    if type(x) is Fraction and type(f.codomain) is MetricLine:
-        return x
-    if isinstance(f.codomain, MetricLine):
-        return as_fraction(x)
     if isinstance(f.codomain, FiniteTop):
         if x not in f.codomain.points:
             raise PreconditionViolated(f"{x!r} is not a point of the codomain")
         return x
+    if isinstance(f.codomain, MetricLine):
+        return as_fraction(x)
     raise PreconditionViolated(f"unsupported codomain {f.codomain!r}")
 
 
 def _union(universe, ts):
     return T.union(*ts) if ts else T.empty(universe)
-
-
-def _finite_escape(f: PiecewiseFn, u) -> SetTerm:
-    out = [t for t, s in f.pieces if s.value not in u]
-    rem = remainder_term(f)
-    if f.default is not None and not classify(rem).is_empty() and f.default not in u:
-        out.append(rem)
-    return _union(f.universe, out)
 
 
 def _piece_stab_k(f: PiecewiseFn, x: Fraction) -> int:
@@ -172,53 +169,69 @@ def _inside_blocks(c: Fraction, delta: Fraction, k: int) -> range:
     return range(math.floor(c / (d + kf)) + 1, math.ceil(c / (d - kf)))
 
 
-def _converges_metric(f: PiecewiseFn, i: Ideal, x: Fraction) -> Verdict:
-    if has_tails_piece(f) and not admissible(i):
-        raise AdmissibilityRequired("TailsTo pieces need an admissible ideal")
+def _escape(f: PiecewiseFn, x):
+    """The largest escape set of f around x, memoised on f per target:
+    every small enough neighborhood of x has exactly this escape set
+    (modulo a finite set for TailsTo pieces).  None for a diagonal at its
+    own target, whose escapes keep growing as the ball shrinks."""
+    memo = f.__dict__.setdefault("_escape", {})
+    if x not in memo:
+        memo[x] = _escape_term(f, x)
+    return memo[x]
+
+
+def _escape_term(f: PiecewiseFn, x):
+    if isinstance(f.codomain, FiniteTop):
+        u = f.codomain.min_nbhd(x)
+        out = [t for t, s in f.pieces if s.value not in u]
+        rem = remainder_term(f)
+        if f.default is not None and not classify(rem).is_empty() and f.default not in u:
+            out.append(rem)
+        return _union(f.universe, out)
     kp = _piece_stab_k(f, x)
-    if f.diagonal is None:
-        esc = _union(f.universe, _piece_escape(f, x, kp))
-        return Verdict.YES if in_ideal(i, esc) else Verdict.NO
     d = f.diagonal
-    p = d.partition
+    if d is None:
+        return _union(f.universe, _piece_escape(f, x, kp))
     c = as_fraction(d.scale)
-    tgt = as_fraction(d.target)
-    pu_terms = [t for t, _ in f.pieces]
-    pu = _union(f.universe, pu_terms)
-    if x == tgt:
-        # block values approach x, so escapes along the diagonal are the
-        # leading blocks: the prefix-union question for the partition,
-        # asked only on the region the pieces leave to the diagonal
-        pesc = _union(f.universe, _piece_escape(f, x, kp))
-        if not in_ideal(i, pesc):
-            return Verdict.NO
-        live = classify(T.diff(T.full(f.universe), pu))
-        if live.is_empty():
-            return Verdict.YES
-        if live.is_finite() and admissible(i):
-            return Verdict.YES
-        pv = prefix_unions_in_ideal(i, p)
-        if pv is Tri.TRUE:
-            return Verdict.YES
-        if pv is Tri.FALSE:
-            cls = classify(pu)
-            if cls.is_empty():
-                return Verdict.NO
-            if cls.is_finite() and admissible(i):
-                return Verdict.NO
-            return Verdict.UNKNOWN
-        return Verdict.UNKNOWN
+    delta = x - as_fraction(d.target)
+    if delta == 0:
+        return None
     # away from the target only finitely many blocks carry values near x
-    delta = x - tgt
     q = c / delta
     exact = {int(q)} if q.denominator == 1 and q >= 1 else set()
     k = max(kp, math.floor(1 / abs(delta)) + 1)
     while any(n not in exact for n in _inside_blocks(c, delta, k)):
         k *= 2
-    keep = [T.block(p, n) for n in sorted(exact)]
+    keep = [T.block(d.partition, n) for n in sorted(exact)]
+    pu = _union(f.universe, [t for t, _ in f.pieces])
     diag_escape = T.diff(T.diff(T.full(f.universe), _union(f.universe, keep)), pu)
-    esc = _union(f.universe, _piece_escape(f, x, k) + [diag_escape])
-    return Verdict.YES if in_ideal(i, esc) else Verdict.NO
+    return _union(f.universe, _piece_escape(f, x, k) + [diag_escape])
+
+
+def _converges_at_target(f: PiecewiseFn, i: Ideal, x: Fraction) -> Verdict:
+    # block values approach x, so escapes along the diagonal are the
+    # leading blocks: the prefix-union question for the partition,
+    # asked only on the region the pieces leave to the diagonal
+    pesc = _union(f.universe, _piece_escape(f, x, _piece_stab_k(f, x)))
+    if not in_ideal(i, pesc):
+        return Verdict.NO
+    pu = _union(f.universe, [t for t, _ in f.pieces])
+    live = classify(T.diff(T.full(f.universe), pu))
+    if live.is_empty() or (live.is_finite() and admissible(i)):
+        return Verdict.YES
+    pv = prefix_unions_in_ideal(i, f.diagonal.partition)
+    if pv is Tri.TRUE:
+        return Verdict.YES
+    if pv is Tri.FALSE:
+        cls = classify(pu)
+        if cls.is_empty() or (cls.is_finite() and admissible(i)):
+            return Verdict.NO
+    return Verdict.UNKNOWN
+
+
+def _require_admissible(f: PiecewiseFn, i: Ideal) -> None:
+    if isinstance(f.codomain, MetricLine) and has_tails_piece(f) and not admissible(i):
+        raise AdmissibilityRequired("TailsTo pieces need an admissible ideal")
 
 
 def converges(f: PiecewiseFn, i: Ideal, x) -> Verdict:
@@ -232,10 +245,30 @@ def converges(f: PiecewiseFn, i: Ideal, x) -> Verdict:
 
 @lru_cache(maxsize=None)
 def _converges_cached(f: PiecewiseFn, i: Ideal, x) -> Verdict:
-    if isinstance(f.codomain, FiniteTop):
-        esc = _finite_escape(f, f.codomain.min_nbhd(x))
-        return Verdict.YES if in_ideal(i, esc) else Verdict.NO
-    return _converges_metric(f, i, x)
+    _require_admissible(f, i)
+    esc = _escape(f, x)
+    if esc is None:
+        return _converges_at_target(f, i, x)
+    return Verdict.YES if in_ideal(i, esc) else Verdict.NO
+
+
+def _converges_overwritten(f: PiecewiseFn, m: SetTerm, j: Ideal, x) -> Verdict:
+    """converges(modify_on(f, m, x), j, x) without building the modified
+    function: x lies in every neighborhood of x, so its escape set is the
+    escape set of f cut down to the kept region m."""
+    _require_admissible(f, j)
+    esc = _escape(f, x)
+    if esc is None:
+        return _converges_cached(modify_on(f, m, x), j, x)
+    return Verdict.YES if in_ideal(j, T.inter(esc, m)) else Verdict.NO
+
+
+def _decided(check, *args) -> Verdict:
+    """check(*args), UNKNOWN where TailsTo pieces meet an inadmissible ideal."""
+    try:
+        return check(*args)
+    except AdmissibilityRequired:
+        return Verdict.UNKNOWN
 
 
 def limits(f: PiecewiseFn, i: Ideal):
@@ -255,15 +288,12 @@ def limits(f: PiecewiseFn, i: Ideal):
     return tuple(x for x in cands if converges(f, i, x) is Verdict.YES)
 
 
-_modified = lru_cache(maxsize=None)(modify_on)
-
-
 def verify_witness(f: PiecewiseFn, i: Ideal, j: Ideal, x, w: Witness) -> bool:
     """Re-run the definition: w.m in the dual filter of i, and the
     modification of f outside w.m j-converges to x."""
     if not in_filter(i, w.m):
         return False
-    return converges(_modified(f, w.m, x), j, x) is Verdict.YES
+    return converges(modify_on(f, w.m, x), j, x) is Verdict.YES
 
 
 def _eligible_pieces(f: PiecewiseFn, i: Ideal):
@@ -288,10 +318,7 @@ def _subset_search(f: PiecewiseFn, i: Ideal, j: Ideal, x) -> Optional[StarResult
     if not eligible:
         return None
     a_max = _union(f.universe, eligible)
-    try:
-        vmax = converges(_modified(f, T.compl(a_max), x), j, x)
-    except AdmissibilityRequired:
-        return None
+    vmax = _decided(_converges_overwritten, f, T.compl(a_max), j, x)
     if vmax is Verdict.UNKNOWN:
         return None
     if vmax is Verdict.NO:
@@ -303,11 +330,8 @@ def _subset_search(f: PiecewiseFn, i: Ideal, j: Ideal, x) -> Optional[StarResult
     for mask in range(1, 1 << len(eligible)):
         a = _union(f.universe, [t for b, t in enumerate(eligible) if mask >> b & 1])
         w = Witness(T.compl(a), "union of pieces inside the base ideal")
-        try:
-            if verify_witness(f, i, j, x, w):
-                return StarResult(Verdict.YES, w, "piece-union overwrite region")
-        except AdmissibilityRequired:
-            return None
+        if verify_witness(f, i, j, x, w):
+            return StarResult(Verdict.YES, w, "piece-union overwrite region")
     return None
 
 
@@ -346,6 +370,13 @@ def as_fraction_safe(v):
         return v
 
 
+_ALREADY_CONVERGENT = {
+    u: StarResult(Verdict.YES, Witness(T.full(u), "no modification needed"),
+                  "already convergent along the auxiliary ideal")
+    for u in Universe
+}
+
+
 def star_converges(f: PiecewiseFn, i: Ideal, j: Ideal, x) -> StarResult:
     """Decide whether some m in the dual filter of i makes the
     modification of f outside m j-convergent to x."""
@@ -354,24 +385,14 @@ def star_converges(f: PiecewiseFn, i: Ideal, j: Ideal, x) -> StarResult:
     x = _check_target(f, x)
     seen_unknown = False
 
-    try:
-        v = converges(f, j, x)
-    except AdmissibilityRequired:
-        v = Verdict.UNKNOWN
+    v = _decided(_converges_cached, f, j, x)
     if v is Verdict.YES:
-        return StarResult(
-            Verdict.YES,
-            Witness(T.full(f.universe), "no modification needed"),
-            "already convergent along the auxiliary ideal",
-        )
+        return _ALREADY_CONVERGENT[f.universe]
     if v is Verdict.UNKNOWN:
         seen_unknown = True
 
     if known_subset(j, i):
-        try:
-            vi = converges(f, i, x)
-        except AdmissibilityRequired:
-            vi = Verdict.UNKNOWN
+        vi = _decided(_converges_cached, f, i, x)
         if vi is Verdict.NO:
             return StarResult(
                 Verdict.NO,
@@ -386,10 +407,7 @@ def star_converges(f: PiecewiseFn, i: Ideal, j: Ideal, x) -> StarResult:
         mt = maximum_term(i)
         if mt is not None:
             w = Witness(T.compl(mt), "complement of the largest member")
-            try:
-                vm = converges(_modified(f, w.m, x), j, x)
-            except AdmissibilityRequired:
-                vm = Verdict.UNKNOWN
+            vm = _decided(_converges_overwritten, f, w.m, j, x)
             if vm is Verdict.YES:
                 return StarResult(Verdict.YES, w, "overwrite on the largest member")
             if vm is Verdict.NO:
@@ -403,10 +421,7 @@ def star_converges(f: PiecewiseFn, i: Ideal, j: Ideal, x) -> StarResult:
 
     ap = additive_property(i, j)
     if ap.status is ApStatus.HOLDS:
-        try:
-            vi = converges(f, i, x)
-        except AdmissibilityRequired:
-            vi = Verdict.UNKNOWN
+        vi = _decided(_converges_cached, f, i, x)
         if vi is Verdict.YES:
             off = [t for t, s in f.pieces if as_fraction_safe(s.value) != as_fraction_safe(x)]
             rem = remainder_term(f)

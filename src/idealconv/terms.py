@@ -330,7 +330,9 @@ def truncate(t: SetTerm, bound: int):
 
 @on_node
 def nat_value(t: SetTerm) -> PeriodicSet:
-    """Evaluate a NAT term to its eventually periodic set."""
+    """Evaluate a NAT term to its eventually periodic set.  Subterms are
+    evaluated through this memo too, so a new term over evaluated
+    subterms costs one set operation per new node."""
     if t.universe is not Universe.NAT:
         raise UniverseMismatch("nat_value requires a NAT term")
     return _nat_value(t)
@@ -354,19 +356,19 @@ def _nat_value(t: SetTerm) -> PeriodicSet:
             return PeriodicSet.from_residue(p.modulus, t.index % p.modulus)
         raise UnsupportedCombination(f"no NAT evaluation for partition {p.pid}")
     if isinstance(t, Compl):
-        return _nat_value(t.term).compl()
+        return nat_value(t.term).compl()
     if isinstance(t, Union):
-        acc = _nat_value(t.terms[0])
+        acc = nat_value(t.terms[0])
         for s in t.terms[1:]:
-            acc = acc.union(_nat_value(s))
+            acc = acc.union(nat_value(s))
         return acc
     if isinstance(t, Inter):
-        acc = _nat_value(t.terms[0])
+        acc = nat_value(t.terms[0])
         for s in t.terms[1:]:
-            acc = acc.inter(_nat_value(s))
+            acc = acc.inter(nat_value(s))
         return acc
     if isinstance(t, Diff):
-        return _nat_value(t.left).diff(_nat_value(t.right))
+        return nat_value(t.left).diff(nat_value(t.right))
     raise UnsupportedCombination(f"no NAT evaluation rule for {type(t).__name__}")
 
 

@@ -119,3 +119,16 @@ def test_pi_crosscheck_small():
     rep = ic.pi_condition_crosscheck(2)
     assert rep.ok
     assert rep.pairs == 16  # 4 ideals on two points, ordered pairs
+
+
+def test_certify_searches_past_infinitely_met_blocks():
+    # whole columns 1..3 plus finite noise in columns 4 and 5: column 4 is
+    # the first block with finite overlap
+    noise = ic.finite_set(PAIR, [(4, 1), (5, 2)])
+    a = ic.union(ic.col(1), ic.col(2), ic.col(3), noise)
+    w = ic.refute_partition_fin(ic.COLUMNS)
+    rep = ic.certify_failure_on_truncation(w, [a], 40)
+    assert rep.certified
+    row = rep.rows[0]
+    assert row.block_index == 4
+    assert row.overlap == 1
