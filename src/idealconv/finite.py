@@ -9,7 +9,10 @@ them directly; tests cross-validate against a brute closure filter.
 Topologies are enumerated by filtering all families of subsets for the
 closure axioms.  Convergence, star convergence, the additive property,
 and the four property phrasings are evaluated by literal loops over the
-definitions; nothing here consults the symbolic engine.
+definitions; nothing here consults the symbolic engine.  The escape
+masks of a model (space, sequence, point) depend on no ideal: they are
+computed once and memoised on the space, and the star search walks only
+the eligible regions m, in ascending order.
 
 The encode_* helpers embed a finite model into the symbolic side: the
 universe maps to 1..n inside NAT, the ideal to a principal ideal whose
@@ -174,23 +177,56 @@ def enumerate_topologies(m: int):
     return tuple(out)
 
 
+def _escapes_at(fn: tuple, sp: FiniteSpace, x: int) -> tuple:
+    """The escape mask of fn from each open of sp around x, in sp.opens
+    order, memoised in the space's __dict__ by (fn, x)."""
+    memo = sp.__dict__.setdefault("_escapes", {})
+    escs = memo.get((fn, x))
+    if escs is None:
+        out = []
+        for u in sp.opens:
+            if not (u >> x & 1):
+                continue
+            e = 0
+            for k, v in enumerate(fn):
+                if not (u >> v & 1):
+                    e |= 1 << k
+            out.append(e)
+        escs = memo[fn, x] = tuple(out)
+    return escs
+
+
+def _first_region(escs, i: FiniteIdeal, j: FiniteIdeal):
+    """The first region m (ascending) whose complement lies in i and that
+    keeps every escape inside j.  Only such m are visited: need | s, s
+    running over the submasks of i's generator in ascending order."""
+    full = (1 << i.n) - 1
+    need, free = full & ~i.gen, full & i.gen
+    gj_missing = ~j.gen
+    s = 0
+    while True:
+        m = need | s
+        for e in escs:
+            # modified escape: original escapes surviving inside m (the
+            # overwritten part sits at x, inside every open around x)
+            if (e & m) & gj_missing:
+                break
+        else:
+            return True, m
+        if s == free:
+            return False, None
+        s = (s - free) & free
+
+
 def brute_i_limits(fn: tuple, i: FiniteIdeal, sp: FiniteSpace):
     """Literal definition: x is a limit when every open around x has an
     escape set inside the ideal."""
     out = []
     for x in range(sp.m):
-        good = True
-        for u in sp.opens:
-            if not (u >> x & 1):
-                continue
-            esc = 0
-            for k, v in enumerate(fn):
-                if not (u >> v & 1):
-                    esc |= 1 << k
+        for esc in _escapes_at(fn, sp, x):
             if not i.contains(esc):
-                good = False
                 break
-        if good:
+        else:
             out.append(x)
     return out
 
@@ -199,32 +235,7 @@ def brute_ihj(fn: tuple, i: FiniteIdeal, j: FiniteIdeal, sp: FiniteSpace, x: int
     """Literal search for a modification region: the first m (ascending
     as a bitmask) whose complement lies in the base ideal and whose
     modified sequence j-converges to x."""
-    n = i.n
-    full = (1 << n) - 1
-    escs = []
-    for u in sp.opens:
-        if not (u >> x & 1):
-            continue
-        e = 0
-        for k, v in enumerate(fn):
-            if not (u >> v & 1):
-                e |= 1 << k
-        escs.append(e)
-    gi_missing = ~i.gen
-    gj_missing = ~j.gen
-    for m in range(full + 1):
-        if (~m & full) & gi_missing:
-            continue
-        ok = True
-        for e in escs:
-            # modified escape: original escapes surviving inside m (the
-            # overwritten part sits at x, inside every open around x)
-            if (e & m) & gj_missing:
-                ok = False
-                break
-        if ok:
-            return True, m
-    return False, None
+    return _first_region(_escapes_at(fn, sp, x), i, j)
 
 
 def brute_ap(i: FiniteIdeal, j: FiniteIdeal) -> bool:
@@ -322,17 +333,11 @@ def brute_metric_limits(values: tuple, i: FiniteIdeal):
 
 
 def brute_metric_ihj(values: tuple, i: FiniteIdeal, j: FiniteIdeal, x):
-    full = (1 << i.n) - 1
     esc = 0
     for k, v in enumerate(values):
         if v != x:
             esc |= 1 << k
-    for m in range(full + 1):
-        if (~m & full) & ~i.gen:
-            continue
-        if (esc & m) & ~j.gen == 0:
-            return True, m
-    return False, None
+    return _first_region((esc,), i, j)
 
 
 @lru_cache(maxsize=None)
@@ -700,6 +705,7 @@ def lemma_suite(n: int, max_points: int = 3) -> SuiteReport:
         for _ in range(n):
             vals_list = [v + (p,) for v in vals_list for p in palette]
         for values in vals_list:
+            parts = {}  # (x, m): (recombines, support of h, escape of g)
             for i in ideals:
                 for j in ideals:
                     for x in palette:
@@ -707,18 +713,20 @@ def lemma_suite(n: int, max_points: int = 3) -> SuiteReport:
                         if not found:
                             continue
                         checked += 1
-                        g = tuple(values[k] if m >> k & 1 else x for k in range(n))
-                        h = tuple(values[k] - g[k] for k in range(n))
-                        if any(values[k] != g[k] + h[k] for k in range(n)):
+                        if (x, m) not in parts:
+                            g = tuple(values[k] if m >> k & 1 else x for k in range(n))
+                            h = tuple(values[k] - g[k] for k in range(n))
+                            parts[x, m] = (
+                                all(values[k] == g[k] + h[k] for k in range(n)),
+                                sum(1 << k for k in range(n) if h[k] != 0),
+                                sum(1 << k for k in range(n) if g[k] != x),
+                            )
+                        recombines, supp, esc_g = parts[x, m]
+                        if not recombines:
                             bad.append(f"recombine values={values} m={m}")
                             continue
-                        supp = 0
-                        for k in range(n):
-                            if h[k] != 0:
-                                supp |= 1 << k
                         if not i.contains(supp):
                             bad.append(f"support values={values} m={m}")
-                        esc_g = sum(1 << k for k in range(n) if g[k] != x)
                         if not j.contains(esc_g):
                             bad.append(f"g-convergence values={values} m={m}")
         return checked, bad

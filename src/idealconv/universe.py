@@ -17,6 +17,10 @@ class Universe(enum.Enum):
     NAT = "nat"
     NATPAIR = "natpair"
 
+    # Members are singletons compared by identity, so the C-level identity
+    # hash agrees with equality and spares Enum.__hash__'s Python call.
+    __hash__ = object.__hash__
+
     def __repr__(self):
         return f"Universe.{self.name}"
 

@@ -1,6 +1,9 @@
 """Finite-universe oracles: enumerations, brute decisions, fact suite."""
 
+import gc
 import hashlib
+import weakref
+from collections import Counter
 from fractions import Fraction as Fr
 
 import pytest
@@ -346,3 +349,155 @@ def test_crosscheck_reports():
     assert rep.ok, rep.checks
     t2 = ic.diff(ic.tail(3), ic.block(ic.RULER, 2))
     assert ic.crosscheck(t2, 20).ok
+
+
+# --- brute oracles against the literal reference loops ---
+#
+# The reference loops read the definitions with no shortcut: every escape
+# is recomputed per call and every region m from 0 to full is tried.
+
+
+def _ref_i_limits(fn, i, sp):
+    out = []
+    for x in range(sp.m):
+        good = True
+        for u in sp.opens:
+            if not (u >> x & 1):
+                continue
+            esc = 0
+            for k, v in enumerate(fn):
+                if not (u >> v & 1):
+                    esc |= 1 << k
+            if not i.contains(esc):
+                good = False
+                break
+        if good:
+            out.append(x)
+    return out
+
+
+def _ref_ihj(fn, i, j, sp, x):
+    full = (1 << i.n) - 1
+    escs = []
+    for u in sp.opens:
+        if not (u >> x & 1):
+            continue
+        e = 0
+        for k, v in enumerate(fn):
+            if not (u >> v & 1):
+                e |= 1 << k
+        escs.append(e)
+    for m in range(full + 1):
+        if (~m & full) & ~i.gen:
+            continue
+        if all(not (e & m) & ~j.gen for e in escs):
+            return True, m
+    return False, None
+
+
+def _ref_metric_ihj(values, i, j, x):
+    full = (1 << i.n) - 1
+    esc = 0
+    for k, v in enumerate(values):
+        if v != x:
+            esc |= 1 << k
+    for m in range(full + 1):
+        if (~m & full) & ~i.gen:
+            continue
+        if (esc & m) & ~j.gen == 0:
+            return True, m
+    return False, None
+
+
+PALETTE = (Fr(0), Fr(1), Fr(1, 2))
+
+
+def _oracle_mismatches(sp, fn, ideals):
+    """Every (i, j, x) on which an oracle differs from its reference."""
+    bad = [("limits", i.gen) for i in ideals if ic.brute_i_limits(fn, i, sp) != _ref_i_limits(fn, i, sp)]
+    bad += [
+        ("star", i.gen, j.gen, x)
+        for x in range(sp.m)
+        for i in ideals
+        for j in ideals
+        if ic.brute_ihj(fn, i, j, sp, x) != _ref_ihj(fn, i, j, sp, x)
+    ]
+    return bad
+
+
+def _metric_mismatches(values, ideals):
+    return [
+        (i.gen, j.gen, x)
+        for i in ideals
+        for j in ideals
+        for x in PALETTE
+        if ic.brute_metric_ihj(values, i, j, x) != _ref_metric_ihj(values, i, j, x)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_brute_oracles_match_reference_loops(n):
+    # every model with n indices and up to three points, every ideal pair:
+    # the same verdicts, witness regions and limit lists
+    ideals = ic.enumerate_ideals(n)
+    for sp in finite._spaces_upto(3):
+        for fn in finite._all_fns(n, sp.m):
+            assert _oracle_mismatches(sp, fn, ideals) == [], (sp.opens, fn)
+    for values in finite._all_fns(n, 3):
+        values = tuple(PALETTE[v] for v in values)
+        assert _metric_mismatches(values, ideals) == [], values
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_brute_oracles_match_reference_loops_size_four(data):
+    # all 256 ideal pairs of each drawn model
+    sp = data.draw(st.sampled_from(finite._spaces_upto(3)))
+    fn = tuple(data.draw(st.integers(0, sp.m - 1)) for _ in range(4))
+    ideals = ic.enumerate_ideals(4)
+    assert _oracle_mismatches(sp, fn, ideals) == []
+    values = tuple(data.draw(st.sampled_from(PALETTE)) for _ in range(4))
+    assert _metric_mismatches(values, ideals) == []
+
+
+def test_escape_memo_holds_one_entry_per_model():
+    sp = FiniteSpace(2, SIERPINSKI)  # hand-built: its own, empty memo
+    for n in (1, 2, 3):
+        ideals = ic.enumerate_ideals(n)
+        for fn in finite._all_fns(n, sp.m):
+            for i in ideals:
+                ic.brute_i_limits(fn, i, sp)
+                for j in ideals:
+                    for x in range(sp.m):
+                        ic.brute_ihj(fn, i, j, sp, x)
+    memo = sp.__dict__["_escapes"]
+    assert all(
+        isinstance(fn, tuple) and isinstance(x, int) and 0 <= x < sp.m for fn, x in memo
+    )
+    sizes = Counter(len(fn) for fn, _ in memo)
+    assert sizes == {n: sp.m ** n * sp.m for n in (1, 2, 3)}
+
+
+def test_escape_memo_dies_with_its_space():
+    sp = FiniteSpace(2, SIERPINSKI)
+    assert ic.brute_ihj((0, 1, 0), FiniteIdeal(3, 0b010), FiniteIdeal(3, 0), sp, 0) == (True, 0b101)
+    assert sp.__dict__["_escapes"]
+    ref = weakref.ref(sp)
+    del sp
+    gc.collect()
+    assert ref() is None
+
+
+# SHA-256 of repr(lemma_suite(n)): the whole report, names, counts and
+# (empty) violation tuples, as the literal loops produced it.
+GOLDEN_REPORTS = {
+    1: "9c551642c5482472f5ba5979e2dd2c6b3f39d0f419d0183e69a4291d648639e5",
+    2: "34b6db0d778d0dcf13470700831299cc90cfb033e91c7f5b21b4b137bee23350",
+    3: "219fbba739f204945b2f76671479c413ffae4ecc48f66a7382abb29e0f73b832",
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lemma_suite_golden_report(n):
+    digest = hashlib.sha256(repr(ic.lemma_suite(n)).encode()).hexdigest()
+    assert digest == GOLDEN_REPORTS[n]

@@ -1,6 +1,7 @@
 """Set term semantics: membership, truncation, exact classification."""
 
 import gc
+import pickle
 import weakref
 
 import pytest
@@ -366,3 +367,11 @@ def test_repr_is_structural():
         "FiniteSet(universe=Universe.NAT, elements=frozenset({7})))), "
         "right=Compl(term=Tail(start=3, universe=Universe.NAT)))"
     )
+
+
+def test_universe_hash_is_identity():
+    table = {u: u.value for u in Universe}
+    for u in Universe:
+        assert pickle.loads(pickle.dumps(u)) is u
+        assert table[u] == u.value
+        assert hash(u) == object.__hash__(u)
