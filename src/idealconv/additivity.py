@@ -33,6 +33,7 @@ from . import terms as T
 from .errors import FamilyNotInIdeal, FinitePartition, SampleNotInIdeal
 from .ideals import (
     Ideal,
+    _normalize,
     has_maximum,
     in_ideal,
     known_subset,
@@ -83,13 +84,8 @@ class ApVerdict:
 
 
 def _partition_of(i: Ideal) -> Optional[Partition]:
-    if i.kind == "partition":
-        return i.partition
-    if i.kind == "pringsheim":
-        from .partitions import CORNER
-
-        return CORNER
-    return None
+    i = _normalize(i)
+    return i.partition if i.kind == "partition" else None
 
 
 def additive_property(i: Ideal, j: Ideal) -> ApVerdict:

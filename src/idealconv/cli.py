@@ -156,7 +156,12 @@ def _load_fixture(path: str) -> dict:
 
 
 def _fixture(args) -> dict:
-    return _load_fixture(args.fixture) if getattr(args, "fixture", None) else {}
+    """The fixture file's object ({} without one), read on first use and
+    at most once per command."""
+    if "_fx" not in vars(args):
+        path = getattr(args, "fixture", None)
+        args._fx = _load_fixture(path) if path else {}
+    return args._fx
 
 
 def _need_fn(args):

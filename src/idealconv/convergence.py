@@ -4,15 +4,16 @@ A function f converges to x along the ideal i when every neighborhood
 of x pulls the complement of its preimage into i.  Decisions are exact
 for the catalog:
 
-* finite codomains have a smallest neighborhood per point, so one escape
-  check decides;
-* on the metric line, escape sets grow as the ball shrinks and stabilize
-  at an explicitly computable radius, so again one check decides.
-  TailsTo pieces perturb escapes by finite sets only, which is why they
-  require an admissible ideal (AdmissibilityRequired otherwise);
+* escape sets only grow as the neighborhood shrinks, and the smallest
+  ones share one escape set: the regions whose value lies outside the
+  kernel of x, the intersection of its neighborhoods.  That is the
+  smallest open around x on a finite codomain and {x} on the metric
+  line, so one check decides.  TailsTo pieces perturb escapes by finite
+  sets only, which is why they require an admissible ideal
+  (AdmissibilityRequired otherwise);
 * diagonal families at the target reduce to the prefix-union question
-  for the partition; away from the target the finitely many blocks whose
-  values sit near x are computed exactly.
+  for the partition; away from the target small balls around x meet
+  only the block whose value is x, if there is one.
 
 Wherever escapes stabilize, the largest escape set is the escape term,
 built once per (f, x).  x lies in every neighborhood of x, so f
@@ -44,7 +45,6 @@ verify_witness re-runs the definition.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -127,53 +127,35 @@ def _union(universe, ts):
     return T.union(*ts) if ts else T.empty(universe)
 
 
-def _piece_stab_k(f: PiecewiseFn, x: Fraction) -> int:
-    """Smallest k with 1/k strictly below every nonzero |value - x|."""
-    k = 1
-    vals = [s.value for _, s in f.pieces]
-    if f.default is not None:
-        vals.append(f.default)
-    for v in vals:
-        d = abs(as_fraction(v) - x)
-        if d != 0:
-            k = max(k, math.floor(1 / d) + 1)
-    return k
-
-
-def _piece_escape(f: PiecewiseFn, x: Fraction, k: int) -> list:
-    """Piece terms escaping the 1/k ball around x; TailsTo pieces do so
-    modulo a finite fuzz, which admissibility absorbs."""
-    kf = Fraction(1, k)
-    out = []
-    for t, s in f.pieces:
-        v = as_fraction(s.value)
-        if v != x and abs(v - x) >= kf:
-            out.append(t)
+def _regions(f: PiecewiseFn) -> tuple:
+    """(term, value) for each piece, then the default's region when it is
+    nonempty.  The diagonal's region is left to its callers."""
+    out = tuple((t, s.value) for t, s in f.pieces)
     rem = remainder_term(f)
     if f.default is not None and not classify(rem).is_empty():
-        v = as_fraction(f.default)
-        if v != x and abs(v - x) >= kf:
-            out.append(rem)
+        out += ((rem, f.default),)
     return out
 
 
-def _inside_blocks(c: Fraction, delta: Fraction, k: int) -> range:
-    """{i >= 1 : |c/i - delta| < 1/k}, requiring 1/k < |delta| so the set
-    is finite: the ball excludes 0, so it is empty unless c and delta share
-    a sign, and then i ranges over (|c|/(|delta|+1/k), |c|/(|delta|-1/k))."""
-    kf = Fraction(1, k)
-    assert abs(delta) > kf
-    if c * delta <= 0:
-        return range(0)
-    c, d = abs(c), abs(delta)
-    return range(math.floor(c / (d + kf)) + 1, math.ceil(c / (d - kf)))
+def _piece_union(f: PiecewiseFn) -> SetTerm:
+    return _union(f.universe, [t for t, _ in f.pieces])
+
+
+def _piece_escape(f: PiecewiseFn, x) -> list:
+    """Regions whose value lies outside the kernel of x, the intersection
+    of its neighborhoods: the smallest open around x on a finite space,
+    {x} on the line.  TailsTo pieces escape modulo a finite fuzz, which
+    admissibility absorbs."""
+    kernel = f.codomain.min_nbhd(x) if isinstance(f.codomain, FiniteTop) else {x}
+    return [t for t, v in _regions(f) if v not in kernel]
 
 
 def _escape(f: PiecewiseFn, x):
     """The largest escape set of f around x, memoised on f per target:
-    every small enough neighborhood of x has exactly this escape set
-    (modulo a finite set for TailsTo pieces).  None for a diagonal at its
-    own target, whose escapes keep growing as the ball shrinks."""
+    the regions whose value lies outside the kernel of x, which every
+    small enough neighborhood of x lets escape (modulo a finite set for
+    TailsTo pieces).  None for a diagonal at its own target, whose
+    escapes keep growing as the ball shrinks."""
     memo = f.__dict__.setdefault("_escape", {})
     if x not in memo:
         memo[x] = _escape_term(f, x)
@@ -181,41 +163,27 @@ def _escape(f: PiecewiseFn, x):
 
 
 def _escape_term(f: PiecewiseFn, x):
-    if isinstance(f.codomain, FiniteTop):
-        u = f.codomain.min_nbhd(x)
-        out = [t for t, s in f.pieces if s.value not in u]
-        rem = remainder_term(f)
-        if f.default is not None and not classify(rem).is_empty() and f.default not in u:
-            out.append(rem)
-        return _union(f.universe, out)
-    kp = _piece_stab_k(f, x)
     d = f.diagonal
     if d is None:
-        return _union(f.universe, _piece_escape(f, x, kp))
-    c = as_fraction(d.scale)
+        return _union(f.universe, _piece_escape(f, x))
     delta = x - as_fraction(d.target)
     if delta == 0:
         return None
-    # away from the target only finitely many blocks carry values near x
-    q = c / delta
-    exact = {int(q)} if q.denominator == 1 and q >= 1 else set()
-    k = max(kp, math.floor(1 / abs(delta)) + 1)
-    while any(n not in exact for n in _inside_blocks(c, delta, k)):
-        k *= 2
-    keep = [T.block(d.partition, n) for n in sorted(exact)]
-    pu = _union(f.universe, [t for t, _ in f.pieces])
-    diag_escape = T.diff(T.diff(T.full(f.universe), _union(f.universe, keep)), pu)
-    return _union(f.universe, _piece_escape(f, x, k) + [diag_escape])
+    # away from the target small balls around x hold one block at most:
+    # block c/delta, when that is a positive integer, has the value x
+    q = as_fraction(d.scale) / delta
+    keep = [T.block(d.partition, int(q))] if q.denominator == 1 and q >= 1 else []
+    diag_escape = T.diff(T.diff(T.full(f.universe), _union(f.universe, keep)), _piece_union(f))
+    return _union(f.universe, _piece_escape(f, x) + [diag_escape])
 
 
 def _converges_at_target(f: PiecewiseFn, i: Ideal, x: Fraction) -> Verdict:
     # block values approach x, so escapes along the diagonal are the
     # leading blocks: the prefix-union question for the partition,
     # asked only on the region the pieces leave to the diagonal
-    pesc = _union(f.universe, _piece_escape(f, x, _piece_stab_k(f, x)))
-    if not in_ideal(i, pesc):
+    if not in_ideal(i, _union(f.universe, _piece_escape(f, x))):
         return Verdict.NO
-    pu = _union(f.universe, [t for t, _ in f.pieces])
+    pu = _piece_union(f)
     live = classify(T.diff(T.full(f.universe), pu))
     if live.is_empty() or (live.is_finite() and admissible(i)):
         return Verdict.YES
@@ -299,11 +267,7 @@ def verify_witness(f: PiecewiseFn, i: Ideal, j: Ideal, x, w: Witness) -> bool:
 def _eligible_pieces(f: PiecewiseFn, i: Ideal):
     """Piece terms (plus the default region) individually inside i.  Any
     union of pieces lying in i consists of such pieces, by heredity."""
-    terms = [t for t, _ in f.pieces]
-    rem = remainder_term(f)
-    if f.default is not None and not classify(rem).is_empty():
-        terms.append(rem)
-    return terms, [t for t in terms if in_ideal(i, t)]
+    return [t for t, _ in _regions(f) if in_ideal(i, t)]
 
 
 def _subset_search(f: PiecewiseFn, i: Ideal, j: Ideal, x) -> Optional[StarResult]:
@@ -314,7 +278,7 @@ def _subset_search(f: PiecewiseFn, i: Ideal, j: Ideal, x) -> Optional[StarResult
     union fails.  On success the first working subset in ascending
     bitmask order (bit b = piece position b) is reported.
     """
-    _, eligible = _eligible_pieces(f, i)
+    eligible = _eligible_pieces(f, i)
     if not eligible:
         return None
     a_max = _union(f.universe, eligible)
@@ -351,7 +315,7 @@ def _diagonal_refutation(f: PiecewiseFn, i: Ideal, j: Ideal, x) -> Optional[Star
         return None
     if d.partition.pid not in _CATALOG_PIDS:
         return None
-    if f.pieces and not classify(_union(f.universe, [t for t, _ in f.pieces])).is_finite():
+    if f.pieces and not classify(_piece_union(f)).is_finite():
         return None
     return StarResult(
         Verdict.NO,
@@ -361,13 +325,6 @@ def _diagonal_refutation(f: PiecewiseFn, i: Ideal, j: Ideal, x) -> Optional[Star
         "whose values stay a fixed distance from the target, which the "
         "finite ideal cannot absorb",
     )
-
-
-def as_fraction_safe(v):
-    try:
-        return as_fraction(v)
-    except PreconditionViolated:
-        return v
 
 
 _ALREADY_CONVERGENT = {
@@ -423,13 +380,9 @@ def star_converges(f: PiecewiseFn, i: Ideal, j: Ideal, x) -> StarResult:
     if ap.status is ApStatus.HOLDS:
         vi = _decided(_converges_cached, f, i, x)
         if vi is Verdict.YES:
-            off = [t for t, s in f.pieces if as_fraction_safe(s.value) != as_fraction_safe(x)]
-            rem = remainder_term(f)
-            if f.default is not None and not classify(rem).is_empty():
-                if as_fraction_safe(f.default) != as_fraction_safe(x):
-                    off.append(rem)
+            off = [t for t, v in _regions(f) if v != x]
             if f.diagonal is not None:
-                off.append(T.compl(_union(f.universe, [t for t, _ in f.pieces])))
+                off.append(T.compl(_piece_union(f)))
             b = _union(f.universe, off)
             if in_ideal(i, b):
                 w = Witness(T.compl(b), "complement of the off-target region")

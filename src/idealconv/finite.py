@@ -819,7 +819,7 @@ class CrosscheckReport:
 def crosscheck(t, bound: int) -> CrosscheckReport:
     """Confront a term's symbolic classification and memberships with
     brute truncation evidence at the given bound and at five times it."""
-    from .ideals import in_ideal, partition_incidence, partition_ideal, pringsheim
+    from .ideals import in_ideal, partition_incidence, partition_ideal, quadrant_avoidance
     from .partitions import CORNER, block_of
     from .universe import elements_upto
 
@@ -846,7 +846,7 @@ def crosscheck(t, bound: int) -> CrosscheckReport:
         checks.append(
             ("normal-form-matches-member-loop", list(small) == ref, f"{len(ref)} members")
         )
-        a = in_ideal(pringsheim(), t)
+        a = quadrant_avoidance(t)
         b = in_ideal(partition_ideal(CORNER), t)
         checks.append(
             ("quadrant-vs-partition-membership", a == b, f"{a} vs {b}")

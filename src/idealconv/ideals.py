@@ -431,13 +431,9 @@ def prefix_unions_in_ideal(i: Ideal, p: Partition) -> Tri:
     inorm = _normalize(i)
     k = inorm.kind
     if k == "principal":
-        # prefixes exhaust the universe, so all of them fit iff the
-        # generator is everything; proper principal ideals never qualify
-        return Tri.TRUE if classify(T.compl(inorm.set_term)).is_empty() else Tri.FALSE
-    if k == "fin":
-        # catalog partitions have an infinite first block, so the probe
-        # above already refuted; reaching here means something odd
-        return Tri.UNKNOWN
+        # prefixes exhaust the universe, so all of them fit only if the
+        # generator is everything, and that ideal is improper
+        return Tri.FALSE
     if k == "partition":
         q = inorm.partition
         if q.pid == p.pid:

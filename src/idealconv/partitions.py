@@ -94,7 +94,8 @@ def block_contains(p: Partition, i: int, e) -> bool:
 
 def block_count_upto(p: Partition, i: int, bound: int) -> int:
     """Exact number of members of block i with all coordinates <= bound."""
-    assert i >= 1 and bound >= 0
+    if i < 1 or bound < 0:
+        raise PreconditionViolated(f"block index must be >= 1 and bound >= 0, got {i}, {bound}")
     if p.pid == "columns":
         return bound if i <= bound else 0
     if p.pid == "corner":
@@ -110,7 +111,8 @@ def block_count_upto(p: Partition, i: int, bound: int) -> int:
 
 def bound_for_count(p: Partition, i: int, k: int) -> int:
     """A truncation bound under which block i has at least k members."""
-    assert i >= 1 and k >= 1
+    if i < 1 or k < 1:
+        raise PreconditionViolated(f"block index and count must be >= 1, got {i}, {k}")
     if p.modulus is not None and i > p.modulus:
         raise ValueError("residue class index exceeds modulus")
     if p.pid == "columns":

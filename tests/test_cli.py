@@ -246,6 +246,32 @@ def test_conv_strict_unknown_exits_3(tmp_path):
     assert rc == 3
 
 
+def test_conv_reads_the_fixture_once(tmp_path, monkeypatch):
+    f = ic.constant_fn(ic.Universe.NAT, ic.METRIC_LINE, 3)
+    p = tmp_path / "all-keys.json"
+    p.write_text(
+        json.dumps(
+            {
+                "function": S.fn_to_obj(f),
+                "base": S.ideal_to_obj(ic.fin(ic.Universe.NAT)),
+                "aux": S.ideal_to_obj(ic.fin(ic.Universe.NAT)),
+                "point": 3,
+            }
+        )
+    )
+    calls = []
+    load = cli._load_fixture
+
+    def counting(path):
+        calls.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli, "_load_fixture", counting)
+    rc, out, _ = run(["conv", "decide", "--fixture", str(p)])
+    assert rc == 0 and "verdict: yes" in out and "witness:" in out
+    assert calls == [str(p)]
+
+
 # --- additive property ---
 
 

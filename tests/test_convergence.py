@@ -307,6 +307,31 @@ def test_star_rung_diagonal_refutation():
     assert "surviving block" in r.reason
 
 
+def test_star_rung_additive_transfer():
+    # only rung (d) decides this: (a) meets an undecided prefix-union
+    # question along the trace ideal, (b) and (c) do not apply, (e) finds
+    # no eligible piece since the evens meet every ruler block, and (f)
+    # needs the finite auxiliary ideal
+    evens = ic.block(ic.residues(2), 2)
+    f = ic.piecewise(
+        NAT, METRIC_LINE, [(evens, ic.Const(0))],
+        diagonal=ic.DiagonalFamily(ic.RULER, Fr(0), Fr(1)),
+    )
+    i = ic.partition_ideal(ic.RULER)
+    j = ic.trace_ideal(ic.partition_ideal(ic.RULER), ic.block(ic.residues(3), 1))
+    assert ic.converges(f, j, 0) is Verdict.UNKNOWN
+    assert ic.converges(f, i, 0) is Verdict.YES
+    r = ic.star_converges(f, i, j, 0)
+    assert r.verdict is Verdict.YES
+    assert r.reason == "additive transfer of base convergence"
+    assert r.witness.note == "complement of the off-target region"
+    assert repr(r.witness.m) == (
+        "Compl(term=Union(terms=(Compl(term=Union(terms=("
+        "Block(partition=Partition(residues:2), index=2),))),)))"
+    )
+    assert ic.verify_witness(f, i, j, 0, r.witness)
+
+
 def test_star_unknown_is_honest():
     push = ic.pushforward(ic.partition_ideal(ic.RULER), ic.bijection_by_name("ruler_corner"))
     d = ic.diagonal_function(ic.COLUMNS, 0)
@@ -371,22 +396,6 @@ def test_decompose_requires_star_yes():
     f = ic.piecewise(NAT, sp, [(ic.full(NAT), ic.Const("a"))])
     with pytest.raises(PreconditionViolated):
         ic.decompose(f, ic.fin(NAT), ic.fin(NAT), "a")
-
-
-def test_inside_blocks_closed_form_matches_scan():
-    from idealconv.convergence import _inside_blocks
-
-    def scan(c, delta, k):
-        kf = Fr(1, k)
-        top = int(abs(c) / (abs(delta) - kf))
-        return {i for i in range(1, top + 1) if abs(c / i - delta) < kf}
-
-    values = sorted({Fr(a, b) for a in range(-12, 13) for b in (1, 2, 3, 5, 7)})
-    for c in values:
-        for delta in values:
-            for k in range(1, 13):
-                if abs(delta) > Fr(1, k):
-                    assert set(_inside_blocks(c, delta, k)) == scan(c, delta, k), (c, delta, k)
 
 
 def test_diagonal_far_from_target_at_large_scale():

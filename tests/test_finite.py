@@ -351,6 +351,20 @@ def test_crosscheck_reports():
     assert ic.crosscheck(t2, 20).ok
 
 
+def test_crosscheck_catches_a_wrong_quadrant_answer(monkeypatch):
+    # the quadrant route must be independent of partition membership, so a
+    # wrong grid answer shows as a failed check
+    from idealconv.pairset import PairGrid
+
+    t = ic.inter(ic.upper_quad(2), ic.compl(ic.col(3)))
+    assert ic.crosscheck(t, 12).ok
+    right = PairGrid.avoids_some_quadrant
+    monkeypatch.setattr(PairGrid, "avoids_some_quadrant", lambda g: not right(g))
+    rep = ic.crosscheck(t, 12)
+    assert not rep.ok
+    assert [c[0] for c in rep.checks if not c[1]] == ["quadrant-vs-partition-membership"]
+
+
 # --- brute oracles against the literal reference loops ---
 #
 # The reference loops read the definitions with no shortcut: every escape

@@ -1,8 +1,11 @@
 """The escape-term route of the star ladder: convergence of f overwritten
 with x outside m is decided as in_ideal(j, escape & m), and agrees with
-building the modified function and deciding it afresh."""
+building the modified function and deciding it afresh.  The escape term
+itself, the regions whose value lies outside the kernel of x, is the term
+the stabilisation-radius construction builds."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction as Fr
 
@@ -11,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 import idealconv as ic
 import idealconv.convergence as conv
 from idealconv import METRIC_LINE, Universe, sampling
-from idealconv.errors import AdmissibilityRequired
+from idealconv import terms as T
+from idealconv.errors import AdmissibilityRequired, IdealConvError
 from idealconv.finite import (
     _all_fns,
     _spaces_upto,
@@ -20,9 +24,10 @@ from idealconv.finite import (
     encode_space,
     enumerate_ideals,
 )
-from idealconv.functions import value_points
+from idealconv.functions import remainder_term, validate_fn, value_points
 
 NAT = Universe.NAT
+PAIR = Universe.NATPAIR
 ODD = ic.block(ic.residues(2), 1)
 EVEN = ic.block(ic.residues(2), 2)
 
@@ -175,3 +180,153 @@ def test_agreement_sweep_builds_no_modified_function(monkeypatch):
     rep = ic.agreement_sweep(2)
     assert rep.ok
     assert calls == []
+
+
+# --- the kernel rule against the stabilisation-radius construction ---
+#
+# The reference below is the escape construction the kernel rule replaced:
+# it finds a radius 1/k below every nonzero distance from x to a declared
+# value, and for a diagonal away from its target doubles k until the ball
+# around x holds no block but the one whose value is x.
+
+
+def _ref_union(universe, ts):
+    return T.union(*ts) if ts else T.empty(universe)
+
+
+def _ref_stab_k(f, x):
+    k = 1
+    vals = [s.value for _, s in f.pieces]
+    if f.default is not None:
+        vals.append(f.default)
+    for v in vals:
+        d = abs(ic.as_fraction(v) - x)
+        if d != 0:
+            k = max(k, math.floor(1 / d) + 1)
+    return k
+
+
+def _ref_piece_escape(f, x, k):
+    kf = Fr(1, k)
+    out = []
+    for t, s in f.pieces:
+        v = ic.as_fraction(s.value)
+        if v != x and abs(v - x) >= kf:
+            out.append(t)
+    rem = remainder_term(f)
+    if f.default is not None and not ic.classify(rem).is_empty():
+        v = ic.as_fraction(f.default)
+        if v != x and abs(v - x) >= kf:
+            out.append(rem)
+    return out
+
+
+def _ref_inside_blocks(c, delta, k):
+    kf = Fr(1, k)
+    assert abs(delta) > kf
+    if c * delta <= 0:
+        return range(0)
+    c, d = abs(c), abs(delta)
+    return range(math.floor(c / (d + kf)) + 1, math.ceil(c / (d - kf)))
+
+
+def _ref_escape_term(f, x):
+    if isinstance(f.codomain, ic.FiniteTop):
+        u = f.codomain.min_nbhd(x)
+        out = [t for t, s in f.pieces if s.value not in u]
+        rem = remainder_term(f)
+        if f.default is not None and not ic.classify(rem).is_empty() and f.default not in u:
+            out.append(rem)
+        return _ref_union(f.universe, out)
+    kp = _ref_stab_k(f, x)
+    d = f.diagonal
+    if d is None:
+        return _ref_union(f.universe, _ref_piece_escape(f, x, kp))
+    c = ic.as_fraction(d.scale)
+    delta = x - ic.as_fraction(d.target)
+    if delta == 0:
+        return None
+    q = c / delta
+    exact = {int(q)} if q.denominator == 1 and q >= 1 else set()
+    k = max(kp, math.floor(1 / abs(delta)) + 1)
+    while any(n not in exact for n in _ref_inside_blocks(c, delta, k)):
+        k *= 2
+    keep = [T.block(d.partition, n) for n in sorted(exact)]
+    pu = _ref_union(f.universe, [t for t, _ in f.pieces])
+    diag_escape = T.diff(T.diff(T.full(f.universe), _ref_union(f.universe, keep)), pu)
+    return _ref_union(f.universe, _ref_piece_escape(f, x, k) + [diag_escape])
+
+
+_SPACES = (
+    ic.sierpinski(),
+    ic.discrete(("a", "b", "c")),
+    ic.indiscrete(("a", "b")),
+    ic.finite_top(("a", "b", "c"), [set(), {"a"}, {"a", "b"}, {"a", "b", "c"}]),
+)
+_HEADS = {NAT: ic.finite_set(NAT, [1, 2, 3]), PAIR: ic.finite_set(PAIR, [(1, 1), (1, 2), (2, 1)])}
+_PARTITIONS = {NAT: (ic.RULER,), PAIR: (ic.COLUMNS, ic.CORNER)}
+
+
+@st.composite
+def escape_cases(draw):
+    """A valid function on either universe and either kind of codomain,
+    with or without a diagonal, and a target: a declared value, a point
+    near or on the diagonal's blocks, any small rational, or a value that
+    is not a point of the codomain."""
+    u = draw(st.sampled_from((NAT, PAIR)))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    metric = draw(st.booleans())
+    if metric:
+        codomain, value = METRIC_LINE, _VALUES
+        spec = st.builds(ic.Const, _VALUES) | st.builds(ic.TailsTo, _VALUES)
+    else:
+        codomain = draw(st.sampled_from(_SPACES))
+        value = st.sampled_from(codomain.points)
+        spec = st.builds(ic.Const, value)
+    pieces, used = [], ic.empty(u)
+    for _ in range(draw(st.integers(0, 3))):
+        t = ic.diff(sampling.random_term(rng, u, depth=2), used)
+        used = ic.union(used, t)
+        pieces.append((t, draw(spec)))
+    diagonal = default = None
+    if metric and draw(st.booleans()):
+        p = draw(st.sampled_from(_PARTITIONS[u]))
+        diagonal = ic.DiagonalFamily(p, draw(_VALUES), draw(_VALUES.filter(lambda v: v != 0)))
+    else:
+        # the last piece leaves a finite head, or nothing, to the default
+        head = _HEADS[u] if draw(st.booleans()) else ic.empty(u)
+        pieces.append((ic.diff(ic.compl(used), head), draw(spec)))
+        if not ic.classify(ic.diff(head, used)).is_empty() or draw(st.booleans()):
+            default = draw(value)
+    f = ic.PiecewiseFn(u, codomain, tuple(pieces), diagonal, default)
+    assert validate_fn(f).ok
+    if draw(st.integers(0, 9)) == 7:
+        return f, "z"
+    if not metric:
+        return f, draw(value)
+    near = st.nothing()
+    if diagonal is not None:
+        n = st.integers(1, 40)
+        near = n.map(lambda n: diagonal.target + diagonal.scale / n) | n.map(
+            lambda n: diagonal.target + diagonal.scale / n + Fr(1, 97)
+        ) | st.just(diagonal.target)
+    return f, draw(st.sampled_from(value_points(f)) | _VALUES | near)
+
+
+def _escape_outcome(escape, f, x):
+    try:
+        return escape(f, conv._check_target(f, x))
+    except IdealConvError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(escape_cases())
+def test_escape_is_the_stabilisation_radius_term(case):
+    f, x = case
+    got = _escape_outcome(conv._escape, f, x)
+    want = _escape_outcome(_ref_escape_term, f, x)
+    if isinstance(want, tuple):
+        assert got == want, (f, x)
+    else:
+        assert got is want, (f, x)

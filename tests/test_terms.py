@@ -269,6 +269,20 @@ def test_bound_for_count_guarantee(p, i, k):
     assert ic.block_count_upto(p, i, b) >= k
 
 
+def test_block_count_inputs_are_checked():
+    # typed errors, not asserts, so the checks hold under python -O too
+    from idealconv.errors import PreconditionViolated
+
+    for call in (
+        lambda: ic.block_count_upto(ic.COLUMNS, 0, 5),
+        lambda: ic.block_count_upto(ic.RULER, 1, -1),
+        lambda: ic.bound_for_count(ic.CORNER, 0, 2),
+        lambda: ic.bound_for_count(ic.RULER, 2, 0),
+    ):
+        with pytest.raises(PreconditionViolated):
+            call()
+
+
 def test_block_count_frozen():
     # ruler block 1 at 10: odds 1,3,5,7,9
     assert ic.block_count_upto(ic.RULER, 1, 10) == 5
