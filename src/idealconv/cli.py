@@ -356,10 +356,12 @@ def _crosscheck_suite(bound: int):
 
 def _cmd_oracle(args) -> int:
     size = args.size
+    if not 1 <= size <= 4:
+        _fail(f"--size must be between 1 and 4, got {size}")
     reports = []
     violations = 0
     if args.suite in ("lemma", "all"):
-        rep = lemma_suite(min(size, 4))
+        rep = lemma_suite(size)
         violations += rep.violations
         reports.append(
             {
@@ -372,7 +374,7 @@ def _cmd_oracle(args) -> int:
             }
         )
     if args.suite in ("agreement", "all"):
-        rep = agreement_sweep(min(size, 4))
+        rep = agreement_sweep(size)
         violations += len(rep.disagreements)
         reports.append(
             {
@@ -384,7 +386,7 @@ def _cmd_oracle(args) -> int:
             }
         )
     if args.suite in ("pi", "all"):
-        rep = pi_condition_crosscheck(min(size, 4))
+        rep = pi_condition_crosscheck(size)
         violations += len(rep.disagreements)
         reports.append(
             {

@@ -9,10 +9,19 @@ them directly; tests cross-validate against a brute closure filter.
 Topologies are enumerated by filtering all families of subsets for the
 closure axioms.  Convergence, star convergence, the additive property,
 and the four property phrasings are evaluated by literal loops over the
-definitions; nothing here consults the symbolic engine.  The escape
-masks of a model (space, sequence, point) depend on no ideal: they are
-computed once and memoised on the space, and the star search walks only
-the eligible regions m, in ascending order.
+definitions; nothing here consults the symbolic engine.
+
+A model (space, sequence fn, point x) depends on no ideal, so its region
+words are computed once and memoised on the space.  The word of a kept
+region m has 2^n bits: bit g is set iff every escape of fn from an open
+around x, cut down to m, lies inside generator g.  It is built from each
+escape e literally, as the AND over e of sup[e & m], where sup[a] sets
+the bits of the generators containing a.  The words of a model are
+packed into one int, the word of m at bit offset m * 2^n.
+brute_i_limits reads the word of the full region; brute_ihj walks the
+regions m whose complement lies in the base generator, in ascending
+order, with one bit test per region; brute_metric_ihj reads the words of
+its single escape from a table kept per (escape, n).
 
 The encode_* helpers embed a finite model into the symbolic side: the
 universe maps to 1..n inside NAT, the ideal to a principal ideal whose
@@ -23,14 +32,17 @@ preserves both convergence and star verdicts.
 
 lemma_suite evaluates the structural facts the toolkit relies on, each
 quantified exhaustively over a small size.  It first fills three tables
-from the literal brute_i_limits and brute_ihj calls, for every space s,
-sequence f (its position in _all_fns) and point x:
+for every space s, sequence f (its position in _all_fns) and point x:
 
-* lim[s][f][g], the limit set under generator g as a point mask;
+* lim[s][f][g], the limit set under generator g as a point mask, from
+  the literal brute_i_limits calls;
 * lim_t[s][f][x], the same table transposed: bit g is set iff x is a
   limit under generator g (2^n bits);
-* star[s][f][x], one star row: bit gi << n | gj is the brute_ihj verdict
-  for base generator gi and aux generator gj (2^(2n) bits).
+* star[s][f][x], one star row from _star_row: bit gi << n | gj is the
+  brute_ihj verdict for base generator gi and aux generator gj (2^(2n)
+  bits).  The block at offset gi * 2^n is the OR of the words of every
+  region m whose complement lies in gi: the literal existential over
+  regions, not its closed form at the smallest such m.
 
 Each claim then checks all ideals of one instance (a map, a sequence,
 or a sequence and a point) with a few word operations on those rows.
@@ -177,13 +189,33 @@ def enumerate_topologies(m: int):
     return tuple(out)
 
 
-def _escapes_at(fn: tuple, sp: FiniteSpace, x: int) -> tuple:
-    """The escape mask of fn from each open of sp around x, in sp.opens
-    order, memoised in the space's __dict__ by (fn, x)."""
-    memo = sp.__dict__.setdefault("_escapes", {})
-    escs = memo.get((fn, x))
-    if escs is None:
-        out = []
+@lru_cache(maxsize=None)
+def _supersets(n: int) -> tuple:
+    """sup[a]: the 2^n-bit word whose bit g is set iff mask a lies inside
+    generator g."""
+    ng = 1 << n
+    return tuple(sum(1 << g for g in range(ng) if not a & ~g) for a in range(ng))
+
+
+@lru_cache(maxsize=None)
+def _escape_words(esc: int, n: int) -> int:
+    """The region words of one escape: the word of region m is
+    sup[esc & m], the generators holding what of the escape m keeps (the
+    overwritten part sits at x, inside every open around x)."""
+    sup = _supersets(n)
+    return sum(sup[esc & m] << (m << n) for m in range(1 << n))
+
+
+def _words_at(fn: tuple, sp: FiniteSpace, x: int) -> int:
+    """The region words of the model (sp, fn, x), packed: bit m << n | g
+    is set iff every escape of fn from an open around x, cut down to m,
+    lies inside generator g.  Memoised in the space's __dict__ by
+    (fn, x)."""
+    memo = sp.__dict__.setdefault("_words", {})
+    words = memo.get((fn, x))
+    if words is None:
+        n = len(fn)
+        words = (1 << (1 << 2 * n)) - 1
         for u in sp.opens:
             if not (u >> x & 1):
                 continue
@@ -191,51 +223,60 @@ def _escapes_at(fn: tuple, sp: FiniteSpace, x: int) -> tuple:
             for k, v in enumerate(fn):
                 if not (u >> v & 1):
                     e |= 1 << k
-            out.append(e)
-        escs = memo[fn, x] = tuple(out)
-    return escs
+            words &= _escape_words(e, n)
+        memo[fn, x] = words
+    return words
 
 
-def _first_region(escs, i: FiniteIdeal, j: FiniteIdeal):
-    """The first region m (ascending) whose complement lies in i and that
-    keeps every escape inside j.  Only such m are visited: need | s, s
-    running over the submasks of i's generator in ascending order."""
-    full = (1 << i.n) - 1
-    need, free = full & ~i.gen, full & i.gen
-    gj_missing = ~j.gen
-    s = 0
-    while True:
-        m = need | s
-        for e in escs:
-            # modified escape: original escapes surviving inside m (the
-            # overwritten part sits at x, inside every open around x)
-            if (e & m) & gj_missing:
-                break
-        else:
+@lru_cache(maxsize=None)
+def _eligible(n: int) -> tuple:
+    """For each base generator gi, the regions m whose complement lies in
+    gi, ascending."""
+    full = (1 << n) - 1
+    return tuple(
+        tuple(m for m in range(full + 1) if not (full & ~m) & ~gi) for gi in range(full + 1)
+    )
+
+
+def _first_region(words: int, i: FiniteIdeal, j: FiniteIdeal):
+    """The first eligible region m (ascending) whose word holds j."""
+    n = i.n
+    for m in _eligible(n)[i.gen]:
+        if words >> (m << n | j.gen) & 1:
             return True, m
-        if s == free:
-            return False, None
-        s = (s - free) & free
+    return False, None
 
 
 def brute_i_limits(fn: tuple, i: FiniteIdeal, sp: FiniteSpace):
     """Literal definition: x is a limit when every open around x has an
-    escape set inside the ideal."""
-    out = []
-    for x in range(sp.m):
-        for esc in _escapes_at(fn, sp, x):
-            if not i.contains(esc):
-                break
-        else:
-            out.append(x)
-    return out
+    escape set inside the ideal, i.e. the word of the full region holds
+    the generator."""
+    n = len(fn)
+    at = ((1 << n) - 1) << n | i.gen
+    return [x for x in range(sp.m) if _words_at(fn, sp, x) >> at & 1]
 
 
 def brute_ihj(fn: tuple, i: FiniteIdeal, j: FiniteIdeal, sp: FiniteSpace, x: int):
     """Literal search for a modification region: the first m (ascending
     as a bitmask) whose complement lies in the base ideal and whose
     modified sequence j-converges to x."""
-    return _first_region(_escapes_at(fn, sp, x), i, j)
+    return _first_region(_words_at(fn, sp, x), i, j)
+
+
+def _star_row(fn: tuple, sp: FiniteSpace, x: int) -> int:
+    """Every brute_ihj verdict of the model (sp, fn, x) as one int: bit
+    gi << n | gj is set iff some region m whose complement lies in gi has
+    gj in its word, the OR of the words over all those m."""
+    words = _words_at(fn, sp, x)
+    n = len(fn)
+    word = (1 << (1 << n)) - 1
+    row = 0
+    for gi, ms in enumerate(_eligible(n)):
+        acc = 0
+        for m in ms:
+            acc |= words >> (m << n)
+        row |= (acc & word) << (gi << n)
+    return row
 
 
 def brute_ap(i: FiniteIdeal, j: FiniteIdeal) -> bool:
@@ -337,30 +378,34 @@ def brute_metric_ihj(values: tuple, i: FiniteIdeal, j: FiniteIdeal, x):
     for k, v in enumerate(values):
         if v != x:
             esc |= 1 << k
-    return _first_region((esc,), i, j)
+    return _first_region(_escape_words(esc, i.n), i, j)
+
+
+@lru_cache(maxsize=None)
+def _value_tables(m1: int, m2: int) -> tuple:
+    """Every value table {0..m1-1} -> {0..m2-1}, by code in base m2, with
+    pre[a], the preimage of each point mask a of the target."""
+    out = []
+    for code in range(m2 ** m1):
+        tbl, c = [], code
+        for _ in range(m1):
+            tbl.append(c % m2)
+            c //= m2
+        pre = tuple(sum(1 << p for p, y in enumerate(tbl) if a >> y & 1) for a in range(1 << m2))
+        out.append((tuple(tbl), pre))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def continuous_tables(sp1: FiniteSpace, sp2: FiniteSpace):
-    """All continuous maps sp1 -> sp2 as value tuples."""
-    out = []
-    for code in range(sp2.m ** sp1.m):
-        tbl, c = [], code
-        for _ in range(sp1.m):
-            tbl.append(c % sp2.m)
-            c //= sp2.m
-        ok = True
-        for u in sp2.opens:
-            pre = 0
-            for p in range(sp1.m):
-                if u >> tbl[p] & 1:
-                    pre |= 1 << p
-            if pre not in sp1.opens:
-                ok = False
-                break
-        if ok:
-            out.append(tuple(tbl))
-    return tuple(out)
+    """All continuous maps sp1 -> sp2 as value tuples: every open's
+    preimage is an open of sp1."""
+    opens1 = frozenset(sp1.opens)
+    return tuple(
+        tbl
+        for tbl, pre in _value_tables(sp1.m, sp2.m)
+        if all(pre[u] in opens1 for u in sp2.opens)
+    )
 
 
 # --- embedding into the symbolic engine ---
@@ -480,10 +525,7 @@ def lemma_suite(n: int, max_points: int = 3) -> SuiteReport:
         for sp, lim_s in zip(spaces, lim)
     ]
     star = [
-        [
-            [_pack(brute_ihj(fn, i, j, sp, x)[0] for i in ideals for j in ideals) for x in range(sp.m)]
-            for fn in fns
-        ]
+        [[_star_row(fn, sp, x) for x in range(sp.m)] for fn in fns]
         for sp, fns in zip(spaces, fns_of)
     ]
     below = [(a, b) for a in range(ng) for b in range(ng) if a & ~b == 0]
@@ -768,6 +810,8 @@ def agreement_sweep(n: int, max_points: int = 3) -> AgreementReport:
 
     if n > 4:
         raise SizeTooLarge("the agreement sweep is supported up to size 4")
+    if n < 1:
+        raise SizeTooLarge("need at least one point")
     disagreements = []
     conv_checked = star_checked = 0
     for s in range(1, n + 1):

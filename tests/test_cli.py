@@ -327,6 +327,16 @@ def test_oracle_agreement_and_pi():
     assert rc == 0 and "pairs=16" in out
 
 
+@pytest.mark.parametrize(
+    "size, suite", [("0", "agreement"), ("0", "all"), ("-1", "lemma"), ("5", "pi"), ("9", "lemma")]
+)
+def test_oracle_size_outside_one_to_four_exits_2(size, suite):
+    # no vacuous report for size 0, and no silent clamp of 9 to 4
+    rc, out, err = run(["oracle", "run", "--size", size, "--suite", suite])
+    assert rc == 2 and out == ""
+    assert "--size" in err
+
+
 def test_oracle_json_shape():
     rc, out, _ = run(["--output", "json", "oracle", "run", "--size", "2", "--suite", "lemma"])
     assert rc == 0

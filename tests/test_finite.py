@@ -118,6 +118,39 @@ def test_continuous_tables_sierpinski():
     assert set(tables) == {(0, 0), (0, 1), (1, 1)}
 
 
+def _ref_continuous_tables(sp1, sp2):
+    # the literal loop: every value table by code, every open's preimage
+    out = []
+    for code in range(sp2.m ** sp1.m):
+        tbl, c = [], code
+        for _ in range(sp1.m):
+            tbl.append(c % sp2.m)
+            c //= sp2.m
+        ok = True
+        for u in sp2.opens:
+            pre = 0
+            for p in range(sp1.m):
+                if u >> tbl[p] & 1:
+                    pre |= 1 << p
+            if pre not in sp1.opens:
+                ok = False
+                break
+        if ok:
+            out.append(tuple(tbl))
+    return tuple(out)
+
+
+def test_continuous_tables_match_reference_loop():
+    spaces = finite._spaces_upto(3)
+    assert len(spaces) == 34
+    for sp1 in spaces:
+        for sp2 in spaces:
+            assert ic.continuous_tables(sp1, sp2) == _ref_continuous_tables(sp1, sp2), (
+                sp1.opens,
+                sp2.opens,
+            )
+
+
 def test_brute_i_limits_frozen():
     sierp = FiniteSpace(2, (0, 0b01, 0b11))
     fn = (0, 1, 0)  # values at indices 0, 1, 2
@@ -193,8 +226,9 @@ def test_lemma_suite_checked_counts_size_three():
 
 
 def test_lemma_suite_oracle_call_counts(monkeypatch):
-    # every limit set and every star verdict comes from one literal call
-    calls = {"ihj": 0, "limits": 0}
+    # every limit set comes from one literal call, and every star row, all
+    # ideal pairs of one (space, sequence, point), from one row build
+    calls = {"row": 0, "limits": 0}
 
     def counted(name, fnc):
         def wrapper(*args):
@@ -203,10 +237,11 @@ def test_lemma_suite_oracle_call_counts(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(finite, "brute_ihj", counted("ihj", finite.brute_ihj))
+    monkeypatch.setattr(finite, "_star_row", counted("row", finite._star_row))
     monkeypatch.setattr(finite, "brute_i_limits", counted("limits", finite.brute_i_limits))
     assert ic.lemma_suite(2).ok
-    assert calls == {"ihj": 13056, "limits": 1112}
+    # 816 rows: one per (space, sequence, point), 13,056 verdicts / 16 pairs
+    assert calls == {"row": 816, "limits": 1112}
 
 
 SIERPINSKI = (0, 0b01, 0b11)
@@ -219,15 +254,15 @@ def _violations(rep):
 def test_lemma_suite_single_star_flip(monkeypatch):
     # one true star verdict reported false: each claim reading it names
     # exactly that instance
-    orig = finite.brute_ihj
+    orig = finite._star_row
 
-    def flipped(fn, i, j, sp, x):
-        found, m = orig(fn, i, j, sp, x)
-        if sp.opens == SIERPINSKI and fn == (1, 0) and (i.gen, j.gen, x) == (0, 3, 0):
-            return not found, None
-        return found, m
+    def flipped(fn, sp, x):
+        row = orig(fn, sp, x)
+        if sp.opens == SIERPINSKI and fn == (1, 0) and x == 0:
+            return row ^ 1 << (0 << 2 | 3)  # (gi, gj) = (0, 3)
+        return row
 
-    monkeypatch.setattr(finite, "brute_ihj", flipped)
+    monkeypatch.setattr(finite, "_star_row", flipped)
     assert _violations(ic.lemma_suite(2)) == {
         "aux-convergence-gives-star": ("gens=0,3 sp=(0, 1, 3) fn=(1, 0) x=0",),
         "star-monotone-in-both-ideals": ("gens=0<0,1<3 sp=(0, 1, 3) fn=(1, 0) x=0",),
@@ -274,11 +309,9 @@ def _violated_claims(rep):
 
 
 def test_lemma_suite_consumes_brute_ihj(monkeypatch):
-    # a star oracle that always answers no: exactly the claims that need
-    # some star verdict to be yes report it
-    monkeypatch.setattr(
-        "idealconv.finite.brute_ihj", lambda fn, i, j, sp, x: (False, None)
-    )
+    # star rows that always answer no: exactly the claims that need some
+    # star verdict to be yes report it
+    monkeypatch.setattr("idealconv.finite._star_row", lambda fn, sp, x: 0)
     assert _violated_claims(ic.lemma_suite(2)) == {
         "aux-convergence-gives-star",
         "gap-function-when-aux-escapes-base",
@@ -341,6 +374,13 @@ def test_agreement_sweep_size_two():
     rep = ic.agreement_sweep(2)
     assert rep.ok
     assert rep.conv_checked > 0 and rep.star_checked > 0
+
+
+def test_agreement_sweep_bounds():
+    with pytest.raises(SizeTooLarge):
+        ic.agreement_sweep(0)
+    with pytest.raises(SizeTooLarge):
+        ic.agreement_sweep(5)
 
 
 def test_crosscheck_reports():
@@ -427,15 +467,18 @@ PALETTE = (Fr(0), Fr(1), Fr(1, 2))
 
 
 def _oracle_mismatches(sp, fn, ideals):
-    """Every (i, j, x) on which an oracle differs from its reference."""
+    """Every (i, j, x) on which an oracle, or a bit of the star row
+    lemma_suite reads, differs from its reference."""
     bad = [("limits", i.gen) for i in ideals if ic.brute_i_limits(fn, i, sp) != _ref_i_limits(fn, i, sp)]
-    bad += [
-        ("star", i.gen, j.gen, x)
-        for x in range(sp.m)
-        for i in ideals
-        for j in ideals
-        if ic.brute_ihj(fn, i, j, sp, x) != _ref_ihj(fn, i, j, sp, x)
-    ]
+    for x in range(sp.m):
+        row = finite._star_row(fn, sp, x)
+        for i in ideals:
+            for j in ideals:
+                ref = _ref_ihj(fn, i, j, sp, x)
+                if ic.brute_ihj(fn, i, j, sp, x) != ref:
+                    bad.append(("star", i.gen, j.gen, x))
+                if row >> (i.gen << len(fn) | j.gen) & 1 != ref[0]:
+                    bad.append(("row", i.gen, j.gen, x))
     return bad
 
 
@@ -484,7 +527,7 @@ def test_escape_memo_holds_one_entry_per_model():
                 for j in ideals:
                     for x in range(sp.m):
                         ic.brute_ihj(fn, i, j, sp, x)
-    memo = sp.__dict__["_escapes"]
+    memo = sp.__dict__["_words"]
     assert all(
         isinstance(fn, tuple) and isinstance(x, int) and 0 <= x < sp.m for fn, x in memo
     )
@@ -495,7 +538,7 @@ def test_escape_memo_holds_one_entry_per_model():
 def test_escape_memo_dies_with_its_space():
     sp = FiniteSpace(2, SIERPINSKI)
     assert ic.brute_ihj((0, 1, 0), FiniteIdeal(3, 0b010), FiniteIdeal(3, 0), sp, 0) == (True, 0b101)
-    assert sp.__dict__["_escapes"]
+    assert sp.__dict__["_words"]
     ref = weakref.ref(sp)
     del sp
     gc.collect()
@@ -508,10 +551,11 @@ GOLDEN_REPORTS = {
     1: "9c551642c5482472f5ba5979e2dd2c6b3f39d0f419d0183e69a4291d648639e5",
     2: "34b6db0d778d0dcf13470700831299cc90cfb033e91c7f5b21b4b137bee23350",
     3: "219fbba739f204945b2f76671479c413ffae4ecc48f66a7382abb29e0f73b832",
+    4: "f7289737f5118a6a4ab63dc09bf028e3563fb7847c9a54c673729781d18d884b",
 }
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_lemma_suite_golden_report(n):
     digest = hashlib.sha256(repr(ic.lemma_suite(n)).encode()).hexdigest()
     assert digest == GOLDEN_REPORTS[n]
