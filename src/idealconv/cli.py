@@ -22,6 +22,7 @@ from . import terms as T
 from .additivity import ApStatus, additive_property
 from .convergence import Verdict, converges, star_converges
 from .finite import agreement_sweep, crosscheck, lemma_suite
+from .functions import validate_fn
 from .additivity import pi_condition_crosscheck
 from .ideals import (
     Ideal,
@@ -173,9 +174,13 @@ def _need_fn(args):
     else:
         _fail("no function given: pass --fn or a fixture file with a 'function' key")
     try:
-        return S.fn_from_obj(obj)
+        f = S.fn_from_obj(obj)
     except (ValueError, KeyError) as e:
         _fail(f"bad function: {e}")
+    rep = validate_fn(f)
+    if not rep.ok:
+        raise E.InvalidFunction("; ".join(rep.problems))
+    return f
 
 
 def _need_ideal(args, flag: str, key: str, default: Universe) -> Ideal:

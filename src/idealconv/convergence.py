@@ -15,11 +15,15 @@ for the catalog:
   for the partition; away from the target small balls around x meet
   only the block whose value is x, if there is one.
 
-Wherever escapes stabilize, the largest escape set is the escape term,
-built once per (f, x).  x lies in every neighborhood of x, so f
-overwritten with x outside m has escape term (escape of f) & m: rung (c)
-and the dominance check of rung (e) ask in_ideal(j, escape & m) and build
-no modified function; verify_witness still builds one, as a re-check.
+Wherever escapes stabilize, the largest escape set is the escape term.
+x lies in every neighborhood of x, so f overwritten with x outside m has
+escape term (escape of f) & m: rung (c) and the dominance check of rung
+(e) ask in_ideal(j, escape & m) and build no modified function;
+verify_witness still builds one, as a re-check.  Escape terms (per x)
+and verdicts (per (i, x)) are memoised on f itself through
+terms.on_node, so they die with f.  Functions still compare by value,
+but no hot path hashes them.  The ideals caches stay global and
+bounded, for the reasons terms.on_node gives.
 
 star_converges(f, i, j, x) asks for m in the dual filter of i with the
 modification of f outside m j-convergent to x.  The decision ladder:
@@ -47,7 +51,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from . import terms as T
@@ -131,9 +134,8 @@ def _regions(f: PiecewiseFn) -> tuple:
     """(term, value) for each piece, then the default's region when it is
     nonempty.  The diagonal's region is left to its callers."""
     out = tuple((t, s.value) for t, s in f.pieces)
-    rem = remainder_term(f)
-    if f.default is not None and not classify(rem).is_empty():
-        out += ((rem, f.default),)
+    if f.default is not None and not classify(remainder_term(f)).is_empty():
+        out += ((remainder_term(f), f.default),)
     return out
 
 
@@ -150,19 +152,13 @@ def _piece_escape(f: PiecewiseFn, x) -> list:
     return [t for t, v in _regions(f) if v not in kernel]
 
 
+@T.on_node
 def _escape(f: PiecewiseFn, x):
     """The largest escape set of f around x, memoised on f per target:
     the regions whose value lies outside the kernel of x, which every
     small enough neighborhood of x lets escape (modulo a finite set for
     TailsTo pieces).  None for a diagonal at its own target, whose
     escapes keep growing as the ball shrinks."""
-    memo = f.__dict__.setdefault("_escape", {})
-    if x not in memo:
-        memo[x] = _escape_term(f, x)
-    return memo[x]
-
-
-def _escape_term(f: PiecewiseFn, x):
     d = f.diagonal
     if d is None:
         return _union(f.universe, _piece_escape(f, x))
@@ -211,7 +207,7 @@ def converges(f: PiecewiseFn, i: Ideal, x) -> Verdict:
     return _converges_cached(f, i, x)
 
 
-@lru_cache(maxsize=None)
+@T.on_node
 def _converges_cached(f: PiecewiseFn, i: Ideal, x) -> Verdict:
     _require_admissible(f, i)
     esc = _escape(f, x)
@@ -227,7 +223,7 @@ def _converges_overwritten(f: PiecewiseFn, m: SetTerm, j: Ideal, x) -> Verdict:
     _require_admissible(f, j)
     esc = _escape(f, x)
     if esc is None:
-        return _converges_cached(modify_on(f, m, x), j, x)
+        return _converges_at_target(modify_on(f, m, x), j, x)
     return Verdict.YES if in_ideal(j, T.inter(esc, m)) else Verdict.NO
 
 

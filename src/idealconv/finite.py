@@ -34,10 +34,11 @@ lemma_suite evaluates the structural facts the toolkit relies on, each
 quantified exhaustively over a small size.  It first fills three tables
 for every space s, sequence f (its position in _all_fns) and point x:
 
-* lim[s][f][g], the limit set under generator g as a point mask, from
-  the literal brute_i_limits calls;
-* lim_t[s][f][x], the same table transposed: bit g is set iff x is a
-  limit under generator g (2^n bits);
+* lim_t[s][f][x], from _limit_row: bit g is set iff x is a limit under
+  generator g (2^n bits), the brute_i_limits verdicts, read from the
+  word of the full region;
+* lim[s][f][g], the same table transposed: the limit set under
+  generator g as a point mask;
 * star[s][f][x], one star row from _star_row: bit gi << n | gj is the
   brute_ihj verdict for base generator gi and aux generator gj (2^(2n)
   bits).  The block at offset gi * 2^n is the OR of the words of every
@@ -206,25 +207,16 @@ def _escape_words(esc: int, n: int) -> int:
     return sum(sup[esc & m] << (m << n) for m in range(1 << n))
 
 
-def _words_at(fn: tuple, sp: FiniteSpace, x: int) -> int:
+@T.on_node
+def _words_at(sp: FiniteSpace, fn: tuple, x: int) -> int:
     """The region words of the model (sp, fn, x), packed: bit m << n | g
     is set iff every escape of fn from an open around x, cut down to m,
-    lies inside generator g.  Memoised in the space's __dict__ by
-    (fn, x)."""
-    memo = sp.__dict__.setdefault("_words", {})
-    words = memo.get((fn, x))
-    if words is None:
-        n = len(fn)
-        words = (1 << (1 << 2 * n)) - 1
-        for u in sp.opens:
-            if not (u >> x & 1):
-                continue
-            e = 0
-            for k, v in enumerate(fn):
-                if not (u >> v & 1):
-                    e |= 1 << k
-            words &= _escape_words(e, n)
-        memo[fn, x] = words
+    lies inside generator g.  Memoised on the space by (fn, x)."""
+    n = len(fn)
+    words = (1 << (1 << 2 * n)) - 1
+    for u in sp.opens:
+        if u >> x & 1:
+            words &= _escape_words(sum(1 << k for k, v in enumerate(fn) if not u >> v & 1), n)
     return words
 
 
@@ -247,27 +239,30 @@ def _first_region(words: int, i: FiniteIdeal, j: FiniteIdeal):
     return False, None
 
 
+def _limit_row(fn: tuple, sp: FiniteSpace, x: int) -> int:
+    """The word of the full region: bit g is set iff x is a limit under g."""
+    n = len(fn)
+    return _words_at(sp, fn, x) >> (((1 << n) - 1) << n)
+
+
 def brute_i_limits(fn: tuple, i: FiniteIdeal, sp: FiniteSpace):
     """Literal definition: x is a limit when every open around x has an
-    escape set inside the ideal, i.e. the word of the full region holds
-    the generator."""
-    n = len(fn)
-    at = ((1 << n) - 1) << n | i.gen
-    return [x for x in range(sp.m) if _words_at(fn, sp, x) >> at & 1]
+    escape set inside the ideal."""
+    return [x for x in range(sp.m) if _limit_row(fn, sp, x) >> i.gen & 1]
 
 
 def brute_ihj(fn: tuple, i: FiniteIdeal, j: FiniteIdeal, sp: FiniteSpace, x: int):
     """Literal search for a modification region: the first m (ascending
     as a bitmask) whose complement lies in the base ideal and whose
     modified sequence j-converges to x."""
-    return _first_region(_words_at(fn, sp, x), i, j)
+    return _first_region(_words_at(sp, fn, x), i, j)
 
 
 def _star_row(fn: tuple, sp: FiniteSpace, x: int) -> int:
     """Every brute_ihj verdict of the model (sp, fn, x) as one int: bit
     gi << n | gj is set iff some region m whose complement lies in gi has
     gj in its word, the OR of the words over all those m."""
-    words = _words_at(fn, sp, x)
+    words = _words_at(sp, fn, x)
     n = len(fn)
     word = (1 << (1 << n)) - 1
     row = 0
@@ -358,27 +353,18 @@ def brute_pi_conditions(i: FiniteIdeal, j: FiniteIdeal) -> dict:
     return {"p1": p1, "p3": p3, "p4": p4, "p6": p6}
 
 
+def _metric_escape(values: tuple, x) -> int:
+    """The entries differing from x, which every small ball around x lets escape."""
+    return sum(1 << k for k, v in enumerate(values) if v != x)
+
+
 def brute_metric_limits(values: tuple, i: FiniteIdeal):
-    """Finite index set mapping into rationals: x is a limit iff the
-    mask of entries differing from x lies in the ideal (escapes grow to
-    exactly that mask as the ball shrinks)."""
-    out = []
-    for x in sorted(set(values)):
-        esc = 0
-        for k, v in enumerate(values):
-            if v != x:
-                esc |= 1 << k
-        if i.contains(esc):
-            out.append(x)
-    return out
+    """x is a limit iff its escape mask lies in the ideal."""
+    return [x for x in sorted(set(values)) if i.contains(_metric_escape(values, x))]
 
 
 def brute_metric_ihj(values: tuple, i: FiniteIdeal, j: FiniteIdeal, x):
-    esc = 0
-    for k, v in enumerate(values):
-        if v != x:
-            esc |= 1 << k
-    return _first_region(_escape_words(esc, i.n), i, j)
+    return _first_region(_escape_words(_metric_escape(values, x), i.n), i, j)
 
 
 @lru_cache(maxsize=None)
@@ -472,6 +458,10 @@ def _all_fns(n: int, m: int):
     return out
 
 
+# The fact suite and the agreement sweep use every space of up to 3 points.
+MAX_POINTS = 3
+
+
 def _spaces_upto(pts: int):
     out = []
     for m in range(1, pts + 1):
@@ -503,26 +493,26 @@ def _pack(verdicts) -> int:
     return int(bytes(verdicts).translate(_DIGITS)[::-1], 2)
 
 
-def lemma_suite(n: int, max_points: int = 3) -> SuiteReport:
+def lemma_suite(n: int) -> SuiteReport:
     """Exhaustively check the structural facts on universes of size n
-    with codomain spaces of up to max_points points."""
+    with codomain spaces of up to MAX_POINTS points."""
     if n > 4:
         raise SizeTooLarge("the fact suite is supported up to 4 points")
     ideals = enumerate_ideals(n)
-    spaces = _spaces_upto(max_points)
+    spaces = _spaces_upto(MAX_POINTS)
     fns_of = [_all_fns(n, sp.m) for sp in spaces]
     full = (1 << n) - 1
     ng = full + 1  # generators
     npairs = ng * ng
 
     # Tables filled by the literal loops (layout in the module docstring).
-    lim = [
-        [[sum(1 << x for x in brute_i_limits(fn, i, sp)) for i in ideals] for fn in fns]
+    lim_t = [
+        [[_limit_row(fn, sp, x) for x in range(sp.m)] for fn in fns]
         for sp, fns in zip(spaces, fns_of)
     ]
-    lim_t = [
-        [[sum(1 << g for g in range(ng) if row[g] >> x & 1) for x in range(sp.m)] for row in lim_s]
-        for sp, lim_s in zip(spaces, lim)
+    lim = [
+        [[sum((r >> g & 1) << x for x, r in enumerate(rows)) for g in range(ng)] for rows in lim_s]
+        for lim_s in lim_t
     ]
     star = [
         [[_star_row(fn, sp, x) for x in range(sp.m)] for fn in fns]
@@ -743,15 +733,13 @@ def lemma_suite(n: int, max_points: int = 3) -> SuiteReport:
     def _c11():
         checked, bad = 0, []
         palette = (Fraction(0), Fraction(1), Fraction(1, 2))
-        vals_list = [()]
-        for _ in range(n):
-            vals_list = [v + (p,) for v in vals_list for p in palette]
-        for values in vals_list:
+        for values in (tuple(palette[v] for v in fn) for fn in _all_fns(n, len(palette))):
             parts = {}  # (x, m): (recombines, support of h, escape of g)
+            words = [_escape_words(_metric_escape(values, x), n) for x in palette]
             for i in ideals:
                 for j in ideals:
-                    for x in palette:
-                        found, m = brute_metric_ihj(values, i, j, x)
+                    for x, w in zip(palette, words):
+                        found, m = _first_region(w, i, j)
                         if not found:
                             continue
                         checked += 1
@@ -792,7 +780,6 @@ def lemma_suite(n: int, max_points: int = 3) -> SuiteReport:
 @dataclass(frozen=True)
 class AgreementReport:
     size: int
-    max_points: int
     conv_checked: int
     star_checked: int
     disagreements: tuple
@@ -802,7 +789,7 @@ class AgreementReport:
         return not self.disagreements
 
 
-def agreement_sweep(n: int, max_points: int = 3) -> AgreementReport:
+def agreement_sweep(n: int) -> AgreementReport:
     """Every finite model up to the given sizes, decided twice: by the
     literal loops here and by the symbolic engine on the encoded model.
     Any mismatch, and any symbolic UNKNOWN, is a disagreement."""
@@ -817,7 +804,7 @@ def agreement_sweep(n: int, max_points: int = 3) -> AgreementReport:
     for s in range(1, n + 1):
         ideals = enumerate_ideals(s)
         enc = {i.gen: encode_ideal(i) for i in ideals}
-        for sp in _spaces_upto(max_points):
+        for sp in _spaces_upto(MAX_POINTS):
             spe = encode_space(sp)
             for fn in _all_fns(s, sp.m):
                 blim = {i.gen: brute_i_limits(fn, i, sp) for i in ideals}
@@ -844,7 +831,7 @@ def agreement_sweep(n: int, max_points: int = 3) -> AgreementReport:
                                     f"gens={i.gen},{j.gen}: brute={bres} "
                                     f"symbolic={sres.verdict.value}"
                                 )
-    return AgreementReport(n, max_points, conv_checked, star_checked, tuple(disagreements))
+    return AgreementReport(n, conv_checked, star_checked, tuple(disagreements))
 
 
 # --- symbolic claims vs truncation evidence ---

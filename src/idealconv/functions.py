@@ -90,13 +90,6 @@ class PiecewiseFn:
     diagonal: Optional[DiagonalFamily] = None
     default: object = None
 
-    def __hash__(self):  # cached, functions are hot cache keys
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.universe, self.codomain, self.pieces, self.diagonal, self.default))
-            object.__setattr__(self, "_hash", h)
-        return h
-
 
 def piecewise(universe, codomain, pieces, diagonal=None, default=None) -> PiecewiseFn:
     f = PiecewiseFn(universe, codomain, tuple((t, s) for t, s in pieces), diagonal, default)
@@ -117,11 +110,7 @@ class ValidationReport:
 
 
 def _value_ok(codomain, v) -> bool:
-    if isinstance(codomain, MetricLine):
-        return codomain.contains_value(v)
-    if isinstance(codomain, FiniteTop):
-        return codomain.contains_value(v)
-    return False
+    return isinstance(codomain, (MetricLine, FiniteTop)) and codomain.contains_value(v)
 
 
 def validate_fn(f: PiecewiseFn) -> ValidationReport:
@@ -208,8 +197,7 @@ def modify_on(f: PiecewiseFn, m: SetTerm, x) -> PiecewiseFn:
         raise UniverseMismatch("modify_on: set universe differs from function universe")
     pieces = [(T.inter(t, m), s) for t, s in f.pieces]
     pieces.append((T.compl(m), Const(x)))
-    default = f.default
-    return PiecewiseFn(f.universe, f.codomain, tuple(pieces), f.diagonal, default)
+    return PiecewiseFn(f.universe, f.codomain, tuple(pieces), f.diagonal, f.default)
 
 
 def compose(f: PiecewiseFn, m: ContinuousMap) -> PiecewiseFn:

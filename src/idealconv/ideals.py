@@ -67,6 +67,9 @@ __all__ = [
     "quadrant_avoidance",
 ]
 
+# Entries per decision cache; agreement_sweep(4) needs 2,979 in_ideal.
+_MEMO_SIZE = 1 << 14
+
 
 class Tri(enum.Enum):
     TRUE = "true"
@@ -181,18 +184,13 @@ def partition_incidence(p: Partition, t: SetTerm):
     if t.universe is not p.universe:
         raise UniverseMismatch("partition_incidence: universe mismatch")
     if p.universe is Universe.NATPAIR:
-        g = pair_grid(t)
         if p.pid == "columns":
-            inc = g.column_incidence()
-            if inc.is_finite():
-                return True, tuple(inc.members())
-            return False, None
-        if p.pid == "corner":
-            inc = g.min_coord_incidence()
-            if inc.is_finite():
-                return True, tuple(inc.members())
-            return False, None
-        raise UniverseMismatch(f"no incidence rule for partition {p.pid}")
+            inc = pair_grid(t).column_incidence()
+        elif p.pid == "corner":
+            inc = pair_grid(t).min_coord_incidence()
+        else:
+            raise UniverseMismatch(f"no incidence rule for partition {p.pid}")
+        return (True, tuple(inc.members())) if inc.is_finite() else (False, None)
     v = T.nat_value(t)
     if p.pid == "ruler":
         finite, idx = v.ruler_incidence()
@@ -202,7 +200,7 @@ def partition_incidence(p: Partition, t: SetTerm):
     raise UniverseMismatch(f"no incidence rule for partition {p.pid}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def in_ideal(i: Ideal, t: SetTerm) -> bool:
     if t.universe is not i.universe:
         raise UniverseMismatch("in_ideal: term universe differs from ideal universe")
@@ -250,12 +248,12 @@ def equiv_mod(j: Ideal, a: SetTerm, b: SetTerm) -> bool:
     return subseteq_mod(j, a, b) and subseteq_mod(j, b, a)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def proper(i: Ideal) -> bool:
     return not in_ideal(i, T.full(i.universe))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def admissible(i: Ideal) -> bool:
     """All singletons belong to the ideal."""
     return admissible_on(i, T.full(i.universe))
@@ -281,7 +279,7 @@ def admissible_on(i: Ideal, m: SetTerm) -> bool:
     raise AssertionError(f"unhandled ideal kind {k}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def has_maximum(i: Ideal) -> bool:
     """Whether the ideal has a largest member (it is then principal as a
     family, whatever its descriptor)."""
@@ -318,7 +316,7 @@ def _lift_second(t: SetTerm) -> SetTerm:
     raise PreimageNotRepresentable(f"cannot lift {type(t).__name__} to the pair universe")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def maximum_term(i: Ideal) -> Optional[SetTerm]:
     """A term for the largest member when one is representable, else None.
 
@@ -362,7 +360,7 @@ def maximum_term(i: Ideal) -> Optional[SetTerm]:
     raise AssertionError(f"unhandled ideal kind {k}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def known_subset(a: Ideal, b: Ideal) -> bool:
     """True when a is provably contained in b by a catalog rule.
 
@@ -414,6 +412,7 @@ def _prefix_term(p: Partition, m: int) -> SetTerm:
     return T.union(*[T.block(p, i) for i in range(1, m + 1)])
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def prefix_unions_in_ideal(i: Ideal, p: Partition) -> Tri:
     """Does every finite union of leading blocks of p lie in i?
 

@@ -204,6 +204,8 @@ def value_from_obj(o):
     if isinstance(o, str):
         return o
     if isinstance(o, dict) and set(o) == {"num", "den"}:
+        if any(type(v) is not int for v in o.values()) or o["den"] == 0:
+            raise ValueError(f"a rational needs integer num and nonzero integer den, got {o!r}")
         return Fraction(o["num"], o["den"])
     raise ValueError(f"unreadable value {o!r}")
 
@@ -273,6 +275,8 @@ def fn_to_obj(f: PiecewiseFn):
 
 
 def fn_from_obj(o) -> PiecewiseFn:
+    """The function the object describes, unvalidated: callers that
+    decide it check validate_fn first, as the command line does."""
     if not isinstance(o, dict):
         raise ValueError("function must be an object")
     u = _universe_from(o["universe"])

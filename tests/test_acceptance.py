@@ -29,7 +29,7 @@ def _report(capsys, n: int, label: str, ok: bool, detail: str = ""):
 def test_criterion_1_oracle_equivalence(capsys):
     # every finite model up to 4 points, decided by loops and symbolically
     t0 = time.time()
-    rep = ic.agreement_sweep(4, max_points=3)
+    rep = ic.agreement_sweep(4)
     elapsed = time.time() - t0
     ok = rep.ok and rep.size == 4 and elapsed < 60.0
     _report(

@@ -130,6 +130,20 @@ def test_bad_tail_start_exits_2(term):
     assert rc == 2 and out == "" and err.startswith("error:")
 
 
+_FULL = '{"atom":"full","universe":"nat"}'
+
+
+def _metric_fn(first, value, *rest):
+    """A NAT function into the metric line: value on the term first, 0 on
+    each term of rest."""
+    pieces = [(first, value)] + [(t, "0") for t in rest]
+    body = ",".join(f'{{"set":{t},"value":{{"const":{v}}}}}' for t, v in pieces)
+    return f'{{"universe":"nat","codomain":"metric","pieces":[{body}]}}'
+
+
+_ZERO = _metric_fn(_FULL, "0")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -139,6 +153,21 @@ def test_bad_tail_start_exits_2(term):
             "conv", "decide", "--I", "fin", "--x", '"a"', "--fn",
             '{"universe":"nat","codomain":{"points":["a","a"],"opens":[[],["a"]]},'
             '"pieces":[],"default":"a"}',
+        ],
+        # malformed rationals, as the target and as a piece value
+        ["conv", "decide", "--fn", _ZERO, "--I", "fin", "--x", '{"num":1,"den":0}'],
+        ["conv", "decide", "--fn", _ZERO, "--I", "fin", "--x", '{"num":1.5,"den":2}'],
+        ["conv", "decide", "--fn", _ZERO, "--I", "fin", "--x", '{"num":true,"den":2}'],
+        ["conv", "decide", "--fn", _metric_fn(_FULL, '{"num":1,"den":0}'), "--I", "fin", "--x", "0"],
+        ["conv", "decide", "--fn", _metric_fn(_FULL, '{"num":1.5,"den":2}'), "--I", "fin", "--x", "0"],
+        # functions that fail validate_fn
+        ["conv", "decide", "--fn", '{"universe":"nat","codomain":"metric","pieces":[]}', "--I", "fin", "--x", "1"],
+        ["conv", "decide", "--fn", _metric_fn(_FULL, "0", '{"atom":"tail","start":3}'), "--I", "fin", "--x", "0"],
+        ["conv", "decide", "--fn", _metric_fn('{"atom":"row","index":1}', "0", _FULL), "--I", "fin", "--x", "0"],
+        [
+            "conv", "decide", "--I", "fin", "--x", "0", "--fn",
+            '{"universe":"nat","codomain":"metric","pieces":[],'
+            '"diagonal":{"partition":"ruler","target":0,"scale":0}}',
         ],
     ],
 )

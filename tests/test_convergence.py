@@ -1,5 +1,7 @@
 """Codomain spaces, symbolic functions, and the convergence engines."""
 
+import gc
+import weakref
 from fractions import Fraction as Fr
 
 import pytest
@@ -338,6 +340,31 @@ def test_star_unknown_is_honest():
     r = ic.star_converges(d, push, ic.fin(PAIR), Fr(0))
     assert r.verdict is Verdict.UNKNOWN
     assert r.witness is None
+
+
+def _memo_cases():
+    sierp = ic.encode_space(ic.FiniteSpace(2, (0, 0b01, 0b11)))
+    base, aux = (ic.encode_ideal(ic.FiniteIdeal(3, g)) for g in (0b010, 0))
+    yield ic.encode_fn((0, 1, 0), sierp, 0), base, aux, 0
+    yield ic.diagonal_function(ic.COLUMNS, 0), ic.partition_ideal(ic.COLUMNS), ic.fin(PAIR), Fr(0)
+    evens = ic.block(ic.residues(2), 2)
+    f = ic.piecewise(NAT, METRIC_LINE, [(evens, ic.Const(0))], diagonal=ic.DiagonalFamily(ic.RULER, 0))
+    yield f, ic.partition_ideal(ic.RULER), ic.fin(NAT), 0
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_function_memos_die_with_the_function(case):
+    # escape terms and verdicts live on the function itself, so once the
+    # caller drops it nothing else keeps it alive
+    f, i, j, x = list(_memo_cases())[case]
+    ic.converges(f, i, x)
+    ic.star_converges(f, i, j, x)
+    memos = f.__dict__.get("_escape"), f.__dict__.get("_converges_cached")
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+    assert all(memos)
 
 
 def test_verify_witness_rejects_bad_region():

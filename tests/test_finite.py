@@ -226,8 +226,8 @@ def test_lemma_suite_checked_counts_size_three():
 
 
 def test_lemma_suite_oracle_call_counts(monkeypatch):
-    # every limit set comes from one literal call, and every star row, all
-    # ideal pairs of one (space, sequence, point), from one row build
+    # every limit row and every star row, all generators or ideal pairs of
+    # one (space, sequence, point), comes from one read of the region words
     calls = {"row": 0, "limits": 0}
 
     def counted(name, fnc):
@@ -238,10 +238,10 @@ def test_lemma_suite_oracle_call_counts(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(finite, "_star_row", counted("row", finite._star_row))
-    monkeypatch.setattr(finite, "brute_i_limits", counted("limits", finite.brute_i_limits))
+    monkeypatch.setattr(finite, "_limit_row", counted("limits", finite._limit_row))
     assert ic.lemma_suite(2).ok
     # 816 rows: one per (space, sequence, point), 13,056 verdicts / 16 pairs
-    assert calls == {"row": 816, "limits": 1112}
+    assert calls == {"row": 816, "limits": 816}
 
 
 SIERPINSKI = (0, 0b01, 0b11)
@@ -274,15 +274,15 @@ def test_lemma_suite_single_star_flip(monkeypatch):
 def test_lemma_suite_dropped_limit(monkeypatch):
     # point 1 dropped from one limit set: the continuous images of every
     # sequence mapped onto (1, 1) now escape it
-    orig = finite.brute_i_limits
+    orig = finite._limit_row
 
-    def dropped(fn, i, sp):
-        out = orig(fn, i, sp)
-        if sp.opens == SIERPINSKI and fn == (1, 1) and i.gen == 1:
-            return [x for x in out if x != 1]
-        return out
+    def dropped(fn, sp, x):
+        row = orig(fn, sp, x)
+        if sp.opens == SIERPINSKI and fn == (1, 1) and x == 1:
+            return row & ~(1 << 1)  # generator 1
+        return row
 
-    monkeypatch.setattr(finite, "brute_i_limits", dropped)
+    monkeypatch.setattr(finite, "_limit_row", dropped)
     got = _violations(ic.lemma_suite(2))
     image = got.pop("continuous-image-of-limits")
     assert len(image) == 460
@@ -320,7 +320,7 @@ def test_lemma_suite_consumes_brute_ihj(monkeypatch):
 
 
 def test_lemma_suite_consumes_brute_i_limits(monkeypatch):
-    monkeypatch.setattr("idealconv.finite.brute_i_limits", lambda fn, i, sp: [])
+    monkeypatch.setattr("idealconv.finite._limit_row", lambda fn, sp, x: 0)
     assert _violated_claims(ic.lemma_suite(2)) == {
         "improper-ideal-absorbs-everything",
         "maximal-ideal-limits-exist",
@@ -527,7 +527,7 @@ def test_escape_memo_holds_one_entry_per_model():
                 for j in ideals:
                     for x in range(sp.m):
                         ic.brute_ihj(fn, i, j, sp, x)
-    memo = sp.__dict__["_words"]
+    memo = sp.__dict__["_words_at"]
     assert all(
         isinstance(fn, tuple) and isinstance(x, int) and 0 <= x < sp.m for fn, x in memo
     )
@@ -538,7 +538,7 @@ def test_escape_memo_holds_one_entry_per_model():
 def test_escape_memo_dies_with_its_space():
     sp = FiniteSpace(2, SIERPINSKI)
     assert ic.brute_ihj((0, 1, 0), FiniteIdeal(3, 0b010), FiniteIdeal(3, 0), sp, 0) == (True, 0b101)
-    assert sp.__dict__["_words"]
+    assert sp.__dict__["_words_at"]
     ref = weakref.ref(sp)
     del sp
     gc.collect()

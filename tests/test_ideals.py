@@ -1,5 +1,10 @@
 """Ideal catalog: membership axioms, flags, order relations."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -367,6 +372,40 @@ def test_pointwise_product_cost_follows_the_grid_not_the_cutoff(monkeypatch):
         cuts.clear()
         assert ic.in_ideal(i, t) == want
         assert 1 <= len(cuts) <= len(T.pair_grid(t).xcuts)
+
+
+# --- bounded decision caches ---
+
+FRESH_QUESTIONS = """
+import gc, json
+import idealconv as ic
+from idealconv import terms as T
+
+bound = ic.in_ideal.cache_info().maxsize
+nat = ic.Universe.NAT
+ideals = (ic.fin(nat), ic.principal(ic.tail(9)))
+before = len(T._NODES)
+for k in range(1, 3 * bound + 1):
+    # a fresh term per question: the set of the 1-based bit positions of k
+    t = ic.finite_set(nat, [b + 1 for b in range(k.bit_length()) if k >> b & 1])
+    ic.in_ideal(ideals[k & 1], t)
+gc.collect()
+print(json.dumps([bound, ic.in_ideal.cache_info().currsize, len(T._NODES) - before]))
+"""
+
+
+def test_fresh_questions_pin_at_most_the_bound():
+    # three times the bound in fresh in_ideal questions: the cache holds at
+    # most the bound, and so do the live nodes it pins (counts, not RSS)
+    src = os.path.dirname(os.path.dirname(ic.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", FRESH_QUESTIONS], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    bound, entries, nodes = json.loads(out.stdout)
+    assert bound is not None
+    assert entries <= bound and nodes <= bound + 16
 
 
 # --- hash-consing: one node per descriptor ---
