@@ -5,6 +5,11 @@ conv witness, ap, oracle run.  Inputs are the module-level JSON formats,
 inline or from a fixture file; outputs are byte-deterministic in both
 text and JSON modes.
 
+Outside input has one door: `_input` looks a value up in its flag, then
+in the fixture file, and `_read` is the only place a JSON value becomes a
+term, ideal, function, point, element, partition or universe, so
+malformed input of any shape exits 2 with one `error:` line.
+
 Exit codes: 0 decided/success, 1 oracle violation, 2 input error,
 3 undecided under --strict.
 """
@@ -15,15 +20,15 @@ import argparse
 import json
 import random
 import sys
+from fractions import Fraction
 
 from . import errors as E
 from . import serialize as S
 from . import terms as T
-from .additivity import ApStatus, additive_property
+from .additivity import ApStatus, additive_property, pi_condition_crosscheck
 from .convergence import Verdict, converges, star_converges
 from .finite import agreement_sweep, crosscheck, lemma_suite
 from .functions import validate_fn
-from .additivity import pi_condition_crosscheck
 from .ideals import (
     Ideal,
     admissible,
@@ -59,18 +64,24 @@ def _fail(message: str):
     raise _Exit(2, message)
 
 
-def _universe_arg(s: str) -> Universe:
-    try:
-        return Universe(s)
-    except ValueError:
-        _fail(f"unknown universe {s!r}")
-
-
 def _load_json(s: str):
     try:
         return json.loads(s)
     except json.JSONDecodeError as e:
         _fail(f"bad JSON: {e}")
+
+
+def _read(what: str, reader, obj):
+    """The one place a JSON value becomes a term, ideal, function, point,
+    element, partition or universe.  A reader's ValueError, or the KeyError,
+    TypeError or AttributeError of a JSON shape it does not expect, exits
+    2; only reading is wrapped, so an engine fault still shows."""
+    try:
+        return reader(obj)
+    except KeyError as e:
+        _fail(f"bad {what}: missing key {e}")
+    except (ValueError, TypeError, AttributeError) as e:
+        _fail(f"bad {what}: {e}")
 
 
 def parse_ideal(spec: str, default: Universe = Universe.NAT) -> Ideal:
@@ -80,41 +91,27 @@ def parse_ideal(spec: str, default: Universe = Universe.NAT) -> Ideal:
     --I uni --J fin reads both ideals over the same index set."""
     spec = spec.strip()
     if spec.startswith("{"):
-        try:
-            return S.ideal_from_obj(_load_json(spec))
-        except ValueError as e:
-            _fail(str(e))
+        return _read("ideal", S.ideal_from_obj, _load_json(spec))
     name, _, arg = spec.partition(":")
     if name == "fin":
-        return fin(_universe_arg(arg) if arg else default)
+        return fin(_read("universe", Universe, arg) if arg else default)
     if name == "improper":
-        return improper(_universe_arg(arg) if arg else default)
+        return improper(_read("universe", Universe, arg) if arg else default)
     if name == "uni":
         return partition_ideal(COLUMNS)
     if name in ("prg", "pringsheim"):
         return pringsheim()
     if name == "mac":
-        try:
-            return partition_ideal(partition_by_id(arg) if arg else RULER)
-        except ValueError as e:
-            _fail(str(e))
+        return partition_ideal(_read("partition", partition_by_id, arg) if arg else RULER)
     if name == "principal":
         if not arg:
             _fail("principal needs a generator term: principal:<term json>")
-        try:
-            return principal(S.term_from_obj(_load_json(arg)))
-        except ValueError as e:
-            _fail(str(e))
+        return principal(_parse_term(arg))
     _fail(f"unknown ideal {spec!r}; expected {_ALIAS_HELP}")
 
 
 def _parse_term(s: str) -> T.SetTerm:
-    try:
-        return S.term_from_obj(_load_json(s))
-    except KeyError as e:
-        _fail(f"term is missing the key {e}")
-    except (ValueError, TypeError) as e:
-        _fail(str(e))
+    return _read("term", S.term_from_obj, _load_json(s))
 
 
 def _parse_value(s: str):
@@ -122,15 +119,10 @@ def _parse_value(s: str):
     bare label of a finite space."""
     s = s.strip()
     if s.startswith("{") or s.lstrip("-").isdigit():
-        try:
-            return S.value_from_obj(_load_json(s))
-        except ValueError as e:
-            _fail(str(e))
+        return _read("point", S.value_from_obj, _load_json(s))
     if "/" in s:
         num, _, den = s.partition("/")
         try:
-            from fractions import Fraction
-
             return Fraction(int(num), int(den))
         except (ValueError, ZeroDivisionError):
             _fail(f"bad rational {s!r}")
@@ -165,18 +157,21 @@ def _fixture(args) -> dict:
     return args._fx
 
 
-def _need_fn(args):
+def _input(args, what: str, flag: str, keys: tuple, read, parse=None):
+    """The one flag-or-fixture lookup: the --flag text (through parse, or
+    as JSON through read), else the first of keys in the fixture file."""
+    text = getattr(args, flag, None)
+    if text:
+        return parse(text) if parse else _read(what, read, _load_json(text))
     fx = _fixture(args)
-    if getattr(args, "fn", None):
-        obj = _load_json(args.fn)
-    elif "function" in fx:
-        obj = fx["function"]
-    else:
-        _fail("no function given: pass --fn or a fixture file with a 'function' key")
-    try:
-        f = S.fn_from_obj(obj)
-    except (ValueError, KeyError) as e:
-        _fail(f"bad function: {e}")
+    for k in keys:
+        if k in fx:
+            return _read(what, read, fx[k])
+    _fail(f"no {what} given: pass --{flag} or a fixture file with a {keys[0]!r} key")
+
+
+def _need_fn(args):
+    f = _input(args, "function", "fn", ("function",), S.fn_from_obj)
     rep = validate_fn(f)
     if not rep.ok:
         raise E.InvalidFunction("; ".join(rep.problems))
@@ -184,31 +179,14 @@ def _need_fn(args):
 
 
 def _need_ideal(args, flag: str, key: str, default: Universe) -> Ideal:
-    spec = getattr(args, flag, None)
-    if spec:
-        return parse_ideal(spec, default)
-    fx = _fixture(args)
-    for k in (key, "ideal") if key == "base" else (key,):
-        if k in fx:
-            try:
-                return S.ideal_from_obj(fx[k])
-            except ValueError as e:
-                _fail(f"bad {k} ideal: {e}")
-    _fail(f"no {key} ideal given: pass --{flag}")
+    keys = (key, "ideal") if key == "base" else (key,)
+    return _input(
+        args, f"{key} ideal", flag, keys, S.ideal_from_obj, lambda s: parse_ideal(s, default)
+    )
 
 
 def _need_target(args):
-    if getattr(args, "x", None) is not None:
-        return _parse_value(args.x)
-    fx = _fixture(args)
-    if "point" in fx:
-        try:
-            return S.value_from_obj(fx["point"])
-        except ValueError:
-            if isinstance(fx["point"], str):
-                return fx["point"]
-            _fail(f"bad fixture point {fx['point']!r}")
-    _fail("no target point given: pass --x")
+    return _input(args, "target point", "x", ("point",), S.value_from_obj, _parse_value)
 
 
 def _emit(args, obj, lines):
@@ -234,21 +212,11 @@ def _cmd_ideal_info(args) -> int:
         if args.name == "mac" and args.partition:
             spec = f"mac:{args.partition}"
         i = parse_ideal(spec)
-    obj = {
-        "ideal": S.ideal_to_obj(i),
-        "universe": i.universe.value,
-        "admissible": admissible(i),
-        "proper": proper(i),
-        "has_maximum": has_maximum(i),
-    }
-    lines = [
-        f"ideal: {i.kind}",
-        f"universe: {i.universe.value}",
-        f"admissible: {str(admissible(i)).lower()}",
-        f"proper: {str(proper(i)).lower()}",
-        f"has maximum: {str(has_maximum(i)).lower()}",
-    ]
-    if has_maximum(i):
+    flags = {"admissible": admissible(i), "proper": proper(i), "has_maximum": has_maximum(i)}
+    obj = {"ideal": S.ideal_to_obj(i), "universe": i.universe.value, **flags}
+    lines = [f"ideal: {i.kind}", f"universe: {i.universe.value}"]
+    lines += [f"{k.replace('_', ' ')}: {str(v).lower()}" for k, v in flags.items()]
+    if flags["has_maximum"]:
         mt = maximum_term(i)
         if mt is not None:
             obj["maximum"] = S.term_to_obj(mt)
@@ -258,16 +226,7 @@ def _cmd_ideal_info(args) -> int:
 
 
 def _cmd_set_classify(args) -> int:
-    fx = _fixture(args)
-    if args.term:
-        t = _parse_term(args.term)
-    elif "term" in fx:
-        try:
-            t = S.term_from_obj(fx["term"])
-        except ValueError as e:
-            _fail(str(e))
-    else:
-        _fail("no term given: pass --term or a fixture file with a 'term' key")
+    t = _input(args, "term", "term", ("term",), S.term_from_obj)
     try:
         cls = T.classify(t)
     except E.UnsupportedCombination as e:
@@ -293,19 +252,14 @@ def _cmd_set_classify(args) -> int:
 
 def _cmd_set_member(args) -> int:
     t = _parse_term(args.term)
-    try:
-        e = S.element_from_obj(t.universe, _load_json(args.element))
-    except ValueError as err:
-        _fail(str(err))
+    e = _read("element", lambda o: S.element_from_obj(t.universe, o), _load_json(args.element))
     m = T.member(t, e)
     _emit(args, {"member": m}, [f"member: {str(m).lower()}"])
     return 0
 
 
-def _verdict_exit(args, v: Verdict) -> int:
-    if v is Verdict.UNKNOWN and args.strict:
-        return 3
-    return 0
+def _strict_exit(args, unknown: bool) -> int:
+    return 3 if unknown and args.strict else 0
 
 
 def _cmd_conv(args) -> int:
@@ -316,18 +270,16 @@ def _cmd_conv(args) -> int:
     if not want_star:
         v = converges(f, i, x)
         _emit(args, {"verdict": v.value}, [f"verdict: {v.value}"])
-        return _verdict_exit(args, v)
+        return _strict_exit(args, v is Verdict.UNKNOWN)
     j = _need_ideal(args, "J", "aux", f.universe)
     res = star_converges(f, i, j, x)
     obj = S.star_to_obj(res)
     lines = [f"verdict: {res.verdict.value}"]
     if res.witness is not None:
-        lines.append(
-            f"witness: {S.canonical_dumps(S.term_to_obj(res.witness.m))}"
-        )
+        lines.append(f"witness: {S.canonical_dumps(S.term_to_obj(res.witness.m))}")
     lines.append(f"reason: {res.reason}")
     _emit(args, obj, lines)
-    return _verdict_exit(args, res.verdict)
+    return _strict_exit(args, res.verdict is Verdict.UNKNOWN)
 
 
 def _cmd_ap(args) -> int:
@@ -340,87 +292,58 @@ def _cmd_ap(args) -> int:
         obj["witness_partition"] = v.witness.partition.pid
         lines.append(f"witness family: blocks of {v.witness.partition.pid}")
     _emit(args, obj, lines)
-    if v.status is ApStatus.UNKNOWN and args.strict:
-        return 3
-    return 0
+    return _strict_exit(args, v.status is ApStatus.UNKNOWN)
 
 
-def _crosscheck_suite(bound: int):
+def _crosscheck_suite(bound: int) -> list:
+    """The canonical JSON of each random term whose crosscheck fails."""
     rng = random.Random(2026)
     rows = []
-    bad = 0
     for universe in (Universe.NAT, Universe.NATPAIR):
         for _ in range(100):
             t = random_term(rng, universe)
-            rep = crosscheck(t, bound)
-            if not rep.ok:
-                bad += 1
+            if not crosscheck(t, bound).ok:
                 rows.append(S.canonical_dumps(S.term_to_obj(t)))
-    return bad, rows
+    return rows
 
 
 def _cmd_oracle(args) -> int:
     size = args.size
     if not 1 <= size <= 4:
         _fail(f"--size must be between 1 and 4, got {size}")
-    reports = []
-    violations = 0
+    # one (JSON report, text detail, violation count) per suite, in one pass
+    suites = []
     if args.suite in ("lemma", "all"):
         rep = lemma_suite(size)
-        violations += rep.violations
-        reports.append(
-            {
-                "suite": "lemma",
-                "size": rep.size,
-                "claims": [
-                    {"claim": c.name, "instances": c.checked, "violations": list(c.violations)}
-                    for c in rep.claims
-                ],
-            }
-        )
+        claims = [
+            {"claim": c.name, "instances": c.checked, "violations": list(c.violations)}
+            for c in rep.claims
+        ]
+        obj = {"suite": "lemma", "size": rep.size, "claims": claims}
+        suites.append((obj, f" claims={len(claims)}", rep.violations))
     if args.suite in ("agreement", "all"):
         rep = agreement_sweep(size)
-        violations += len(rep.disagreements)
-        reports.append(
-            {
-                "suite": "agreement",
-                "size": rep.size,
-                "convergence_instances": rep.conv_checked,
-                "star_instances": rep.star_checked,
-                "violations": list(rep.disagreements),
-            }
-        )
+        obj = {
+            "suite": "agreement",
+            "size": rep.size,
+            "convergence_instances": rep.conv_checked,
+            "star_instances": rep.star_checked,
+            "violations": list(rep.disagreements),
+        }
+        detail = f" conv={rep.conv_checked} star={rep.star_checked}"
+        suites.append((obj, detail, len(rep.disagreements)))
     if args.suite in ("pi", "all"):
         rep = pi_condition_crosscheck(size)
-        violations += len(rep.disagreements)
-        reports.append(
-            {
-                "suite": "pi",
-                "size": rep.size,
-                "pairs": rep.pairs,
-                "violations": [repr(d) for d in rep.disagreements],
-            }
-        )
+        bad = [repr(d) for d in rep.disagreements]
+        obj = {"suite": "pi", "size": rep.size, "pairs": rep.pairs, "violations": bad}
+        suites.append((obj, f" pairs={rep.pairs}", len(bad)))
     if args.suite in ("crosscheck", "all"):
-        bad, rows = _crosscheck_suite(50)
-        violations += bad
-        reports.append({"suite": "crosscheck", "bound": 50, "violations": rows})
-    obj = {"reports": reports, "violations": violations}
-    lines = []
-    for rep in reports:
-        n_bad = len(rep.get("violations", [])) if "violations" in rep else sum(
-            len(c["violations"]) for c in rep["claims"]
-        )
-        detail = ""
-        if rep["suite"] == "lemma":
-            detail = f" claims={len(rep['claims'])}"
-        if rep["suite"] == "agreement":
-            detail = f" conv={rep['convergence_instances']} star={rep['star_instances']}"
-        if rep["suite"] == "pi":
-            detail = f" pairs={rep['pairs']}"
-        lines.append(f"suite {rep['suite']}:{detail} violations={n_bad}")
+        bad = _crosscheck_suite(50)
+        suites.append(({"suite": "crosscheck", "bound": 50, "violations": bad}, "", len(bad)))
+    violations = sum(n for _, _, n in suites)
+    lines = [f"suite {obj['suite']}:{detail} violations={n}" for obj, detail, n in suites]
     lines.append(f"total violations: {violations}")
-    _emit(args, obj, lines)
+    _emit(args, {"reports": [obj for obj, _, _ in suites], "violations": violations}, lines)
     return 1 if violations else 0
 
 

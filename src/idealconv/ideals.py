@@ -35,7 +35,8 @@ from typing import Optional
 
 from . import terms as T
 from .bijections import Bijection, invert, preimage_term
-from .errors import FinitePartition, PreconditionViolated, PreimageNotRepresentable, UniverseMismatch
+from .errors import FinitePartition, PreconditionViolated, PreimageNotRepresentable
+from .errors import SizeTooLarge, UniverseMismatch
 from .partitions import CORNER, Partition
 from .terms import SetTerm, classify, pair_grid
 from .universe import Universe, is_element
@@ -69,6 +70,15 @@ __all__ = [
 
 # Entries per decision cache; agreement_sweep(4) needs 2,979 in_ideal.
 _MEMO_SIZE = 1 << 14
+
+# A product maximum spells out its low columns, and a lifted tail its low
+# rows, one atom each; above this many atoms it raises SizeTooLarge unbuilt.
+_MAX_ATOMS = 1 << 16
+
+
+def _check_atoms(n: int, what: str) -> None:
+    if n > _MAX_ATOMS:
+        raise SizeTooLarge(f"a product maximum would need {n} {what} atoms (limit 2**16)")
 
 
 class Tri(enum.Enum):
@@ -304,6 +314,7 @@ def _lift_second(t: SetTerm) -> SetTerm:
     if isinstance(t, T.FiniteSet):
         return T.union(*[T.row(b) for b in sorted(t.elements)]) if t.elements else T.empty(Universe.NATPAIR)
     if isinstance(t, T.Tail):
+        _check_atoms(t.start - 1, "row")
         return T.compl(T.union(*[T.row(b) for b in range(1, t.start)])) if t.start > 1 else T.full(Universe.NATPAIR)
     if isinstance(t, T.Compl):
         return T.compl(_lift_second(t.term))
@@ -336,11 +347,12 @@ def maximum_term(i: Ideal) -> Optional[SetTerm]:
         mt = maximum_term(i.base)
         if mt is None:
             return None
-        low = T.union(*[T.col(x) for x in range(1, i.cutoff + 1)])
         try:
             lifted = _lift_second(mt)
         except PreimageNotRepresentable:
             return None
+        _check_atoms(i.cutoff, "column")
+        low = T.union(*[T.col(x) for x in range(1, i.cutoff + 1)])
         return T.union(T.inter(low, lifted), T.compl(low))
     if k == "pushforward":
         mt = maximum_term(i.base) if has_maximum(i.base) else None

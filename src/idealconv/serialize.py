@@ -1,8 +1,11 @@
 """JSON forms for terms, ideals, functions, and verdicts.
 
 All dumps are canonical: sorted keys, no whitespace variance, so equal
-inputs serialize to identical bytes.  Parsers raise ValueError with a
-readable message on malformed input.
+inputs serialize to identical bytes.  The readers (the *_from_obj
+functions) raise ValueError on a bad value, and KeyError, TypeError or
+AttributeError on a JSON shape they do not expect; the constructors they
+call raise their own IdealConvError.  The command line's `_read` turns
+every one of these into exit 2.
 """
 
 from __future__ import annotations

@@ -1,16 +1,23 @@
 """Command line front end: examples, exit codes, determinism."""
 
 import contextlib
+import functools
 import io
 import json
+import operator
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import idealconv as ic
 from idealconv import cli
 from idealconv import serialize as S
+from idealconv.additivity import PiCrosscheckReport
+from idealconv.finite import AgreementReport, ClaimResult, CrosscheckReport, SuiteReport
+from idealconv.sampling import fixture_corpus
 
 
 def run(argv):
@@ -174,6 +181,20 @@ _ZERO = _metric_fn(_FULL, "0")
 def test_bad_constructor_input_exits_2(argv):
     rc, out, err = run(argv)
     assert rc == 2 and out == "" and err.startswith("error:")
+
+
+def _product_over_tail(start, cutoff):
+    base = {"ideal": "principal", "set": {"atom": "tail", "start": start}}
+    return json.dumps({"ideal": "uniform_product", "base": base, "cutoff": cutoff})
+
+
+@pytest.mark.parametrize("ideal", [_product_over_tail(3, 10**9), _product_over_tail(10**6, 2)])
+def test_product_maximum_is_bounded(ideal):
+    # its maximum would list 10**9 columns or 10**6 rows, one atom each;
+    # the refusal comes before any is built (0.2 s with interpreter start)
+    cmd = [sys.executable, "-m", "idealconv.cli", "ideal", "info", ideal]
+    r = subprocess.run(cmd, capture_output=True, timeout=3)
+    assert r.returncode == 2 and r.stdout == b"" and r.stderr.startswith(b"error:")
 
 
 def test_member_boolean_element_exits_2():
@@ -378,6 +399,44 @@ def test_oracle_json_shape():
         assert c["violations"] == []
 
 
+_ORACLE_TEXT = (
+    "suite lemma: claims=2 violations=1\n"
+    "suite agreement: conv=10 star=20 violations=1\n"
+    "suite pi: pairs=16 violations=1\n"
+    "suite crosscheck: violations=1\n"
+    "total violations: 4\n"
+)
+_ORACLE_JSON = (
+    '{"reports":[{"claims":[{"claim":"holds","instances":5,"violations":[]},'
+    '{"claim":"breaks","instances":7,"violations":["instance 3"]}],"size":2,"suite":"lemma"},'
+    '{"convergence_instances":10,"size":2,"star_instances":20,"suite":"agreement",'
+    '"violations":["conv f=(0,) x=0"]},'
+    '{"pairs":16,"size":2,"suite":"pi","violations":["(\'pair\', 1)"]},'
+    '{"bound":50,"suite":"crosscheck","violations":["{\\"atom\\":\\"block\\",\\"index\\":1,'
+    '\\"partition\\":\\"ruler\\"}"]}],"violations":4}\n'
+)
+
+
+@pytest.mark.parametrize("output, expected", [("text", _ORACLE_TEXT), ("json", _ORACLE_JSON)])
+def test_oracle_all_report_bytes(monkeypatch, output, expected):
+    # canned suite reports, one violation each (crosscheck fails on its
+    # first random term only), pin the whole report byte for byte
+    claims = (ClaimResult("holds", 5, ()), ClaimResult("breaks", 7, ("instance 3",)))
+    calls = []
+
+    def crosscheck(t, bound):
+        calls.append(t)
+        return CrosscheckReport(bound, (("classify", len(calls) > 1, ""),))
+
+    monkeypatch.setattr(cli, "lemma_suite", lambda n: SuiteReport(n, claims))
+    monkeypatch.setattr(cli, "agreement_sweep", lambda n: AgreementReport(n, 10, 20, ("conv f=(0,) x=0",)))
+    monkeypatch.setattr(cli, "pi_condition_crosscheck", lambda n: PiCrosscheckReport(n, 16, (("pair", 1),)))
+    monkeypatch.setattr(cli, "crosscheck", crosscheck)
+    rc, out, _ = run(["--output", output, "oracle", "run", "--size", "2", "--suite", "all"])
+    assert (rc, out) == (1, expected)
+    assert len(calls) == 200
+
+
 # --- determinism ---
 
 DETERMINISTIC_CASES = [
@@ -450,3 +509,95 @@ def test_fn_roundtrip():
         back = S.fn_from_obj(S.fn_to_obj(f))
         assert back == f
         assert fn_json(back) == fn_json(f)
+
+
+# --- malformed input of any shape: exit 2, never a traceback ---
+
+_JUNK = [None, True, 3, 2.5, "x", [], {}]
+_DROP = object()
+
+
+def _paths(o, path=()):
+    yield path
+    items = o.items() if isinstance(o, dict) else enumerate(o) if isinstance(o, list) else ()
+    for k, v in items:
+        yield from _paths(v, path + (k,))
+
+
+def _mutated(o, path, junk):
+    """A copy of o with the value at path dropped (junk is _DROP) or
+    replaced by junk."""
+    if not path:
+        return junk
+    o = json.loads(json.dumps(o))
+    holder = functools.reduce(operator.getitem, path[:-1], o)
+    if junk is _DROP:
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = junk
+    return o
+
+
+_SEEDS = (
+    [("term", S.term_to_obj(t)) for t in TERMS]
+    + [("ideal", S.ideal_to_obj(i)) for i in IDEALS]
+    + [
+        (
+            "fixture",
+            {
+                "function": S.fn_to_obj(fx.fn),
+                "base": S.ideal_to_obj(fx.base),
+                "aux": S.ideal_to_obj(fx.aux),
+                "point": S.value_to_obj(fx.x),
+            },
+        )
+        for fx in fixture_corpus()
+    ]
+)
+
+
+def _argvs(kind, doc, fixture_path):
+    """Commands that read the mutated doc; a fixture doc is also written
+    to fixture_path."""
+    d = json.dumps
+    if kind == "term":
+        return [
+            ["set", "classify", f"--term={d(doc)}", "--ideal=fin"],
+            ["ideal", "info", "principal", f"--set={d(doc)}"],
+            ["set", "member", f"--term={d(doc)}", "--element=1"],
+            ["set", "member", f"--term={d(doc)}", "--element=[1,2]"],
+        ]
+    if kind == "ideal":
+        return [
+            ["ideal", "info", d(doc)],
+            ["ap", f"--I={d(doc)}", "--J=fin"],
+            ["set", "classify", f"--term={d(S.term_to_obj(ic.tail(3)))}", f"--ideal={d(doc)}"],
+        ]
+    fixture_path.write_text(d(doc))
+    flags = dict(function="--fn", base="--I", aux="--J", point="--x")
+    inline = [f"{flags[k]}={d(v)}" for k, v in doc.items()] if isinstance(doc, dict) else []
+    return [
+        ["conv", "decide", f"--fixture={fixture_path}"],
+        ["conv", "witness", f"--fixture={fixture_path}"],
+        ["ap", f"--fixture={fixture_path}"],
+        ["conv", "witness", *inline],
+    ]
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fixture.json"
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_mutated_input_exits_cleanly(fuzz_file, data):
+    # a dropped key or a junk value anywhere in a term, ideal, function or
+    # fixture file is an input error, not an oracle violation
+    kind, doc = data.draw(st.sampled_from(_SEEDS))
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    junk = data.draw(st.sampled_from(_JUNK + [_DROP] if path else _JUNK))
+    argv = data.draw(st.sampled_from(_argvs(kind, _mutated(doc, path, junk), fuzz_file)))
+    rc, _, err = run(argv)
+    assert rc in (0, 2, 3), (argv, err)
+    assert rc != 2 or err.startswith("error:")

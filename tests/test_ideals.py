@@ -210,6 +210,20 @@ def test_maximum_term_is_absorbing():
     assert ic.maximum_term(ic.fin(NAT)) is None
     assert ic.maximum_term(ic.improper(PAIR)) == ic.full(PAIR)
 
+    # products and pushforwards of principal ideals, _lift_second included
+    for i in [
+        ic.uniform_product(ic.principal(ic.tail(3)), 2),
+        ic.pointwise_product(ic.principal(ic.finite_set(NAT, [1, 2])), 3),
+        ic.pushforward(ic.principal(ODDS), walk()),
+        ic.pushforward(ic.principal(ic.tail(4)), ic.PAIRING),
+    ]:
+        mt = ic.maximum_term(i)
+        assert mt is not None and ic.in_ideal(i, mt), i
+    assert ic.maximum_term(ic.pushforward(ic.principal(ODDS), walk())) == ic.block(ic.CORNER, 1)
+    # a ruler block has no lift to the pair universe
+    i = ic.uniform_product(ic.principal(ODDS), 2)
+    assert ic.has_maximum(i) and ic.maximum_term(i) is None
+
 
 def test_known_subset_frozen():
     assert ic.known_subset(ic.fin(PAIR), ic.pringsheim()) is True
@@ -223,6 +237,25 @@ def test_known_subset_frozen():
     assert ic.known_subset(ic.fin(NAT), ic.improper(NAT)) is True
     with pytest.raises(UniverseMismatch):
         ic.known_subset(ic.fin(NAT), ic.pringsheim())
+
+    fin, ruler = ic.fin(NAT), ic.partition_ideal(ic.RULER)
+    # traces of one set compare by their bases
+    trace = ic.trace_ideal
+    assert ic.known_subset(trace(fin, ODDS), trace(ruler, ODDS)) is True
+    assert ic.known_subset(trace(ruler, ODDS), trace(fin, ODDS)) is False
+    assert ic.known_subset(trace(fin, ODDS), trace(ruler, ic.tail(5))) is False
+    # pushforwards along one bijection compare by their bases
+    push = ic.pushforward
+    assert ic.known_subset(push(fin, walk()), push(ruler, walk())) is True
+    assert ic.known_subset(push(ruler, walk()), push(fin, walk())) is False
+    assert ic.known_subset(push(fin, ic.PAIRING), push(ruler, walk())) is False
+    # uniform control implies pointwise control, at one cutoff only
+    uniform, pointwise = ic.uniform_product, ic.pointwise_product
+    assert ic.known_subset(uniform(fin, 2), pointwise(fin, 2)) is True
+    assert ic.known_subset(pointwise(fin, 2), uniform(fin, 2)) is False
+    assert ic.known_subset(uniform(fin, 2), uniform(ruler, 2)) is True
+    assert ic.known_subset(uniform(fin, 2), uniform(fin, 3)) is False
+    assert ic.known_subset(pointwise(fin, 2), pointwise(ruler, 2)) is True
 
 
 # the (a, b) case pairs whose containment known_subset claims
