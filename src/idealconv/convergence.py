@@ -17,13 +17,14 @@ for the catalog:
 
 Wherever escapes stabilize, the largest escape set is the escape term.
 x lies in every neighborhood of x, so f overwritten with x outside m has
-escape term (escape of f) & m: rung (c) and the dominance check of rung
-(e) ask in_ideal(j, escape & m) and build no modified function;
-verify_witness still builds one, as a re-check.  Escape terms (per x)
-and verdicts (per (i, x)) are memoised on f itself through
-terms.on_node, so they die with f.  Functions still compare by value,
-but no hot path hashes them.  The ideals caches stay global and
-bounded, for the reasons terms.on_node gives.
+escape term (escape of f) & m: rungs (c) and (e) ask in_ideal(j,
+escape & m) and build no modified function; verify_witness still builds
+one, as a re-check.  So rungs (a)-(c) are a function of (escape, i, j),
+cached globally and bounded like the ideals caches, and every function
+with that escape shares one result; a diagonal at its own target, or
+TailsTo pieces meeting an inadmissible ideal, keep the checks on f.
+Escape terms (per x) and verdicts (per (i, x)) are memoised on f itself
+through terms.on_node, so they die with f.
 
 star_converges(f, i, j, x) asks for m in the dual filter of i with the
 modification of f outside m j-convergent to x.  The decision ladder:
@@ -34,9 +35,9 @@ modification of f outside m j-convergent to x.  The decision ladder:
       best possible move, so its outcome decides both ways.
   (d) additive transfer: the additive property for (i, j) plus
       i-convergence yields a witness built from the off-target pieces.
-  (e) search over unions of whole pieces that lie in i, in ascending
-      bitmask order over piece positions; the union of all eligible
-      pieces is checked first since it dominates.
+  (e) search over unions of whole pieces that lie in i for the least
+      working bitmask over piece positions, greedily, since the union of
+      all eligible pieces dominates and working unions are up-closed.
   (f) diagonal refutation: over a matching partition ideal with the
       finite ideal as auxiliary, a diagonal family never star-converges
       to its target: beyond the finite block incidence of any candidate
@@ -51,6 +52,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from . import terms as T
@@ -67,6 +69,7 @@ from .functions import (
     value_points,
 )
 from .ideals import (
+    _MEMO_SIZE,
     Ideal,
     Tri,
     _normalize,
@@ -198,6 +201,10 @@ def _require_admissible(f: PiecewiseFn, i: Ideal) -> None:
         raise AdmissibilityRequired("TailsTo pieces need an admissible ideal")
 
 
+def _along(i: Ideal, esc: SetTerm) -> Verdict:
+    return Verdict.YES if in_ideal(i, esc) else Verdict.NO
+
+
 def converges(f: PiecewiseFn, i: Ideal, x) -> Verdict:
     """Does f converge to x along the ideal i?  Exact on the catalog;
     UNKNOWN only through an undecided prefix-union question."""
@@ -213,7 +220,7 @@ def _converges_cached(f: PiecewiseFn, i: Ideal, x) -> Verdict:
     esc = _escape(f, x)
     if esc is None:
         return _converges_at_target(f, i, x)
-    return Verdict.YES if in_ideal(i, esc) else Verdict.NO
+    return _along(i, esc)
 
 
 def _converges_overwritten(f: PiecewiseFn, m: SetTerm, j: Ideal, x) -> Verdict:
@@ -224,7 +231,7 @@ def _converges_overwritten(f: PiecewiseFn, m: SetTerm, j: Ideal, x) -> Verdict:
     esc = _escape(f, x)
     if esc is None:
         return _converges_at_target(modify_on(f, m, x), j, x)
-    return Verdict.YES if in_ideal(j, T.inter(esc, m)) else Verdict.NO
+    return _along(j, T.inter(esc, m))
 
 
 def _decided(check, *args) -> Verdict:
@@ -270,28 +277,32 @@ def _subset_search(f: PiecewiseFn, i: Ideal, j: Ideal, x) -> Optional[StarResult
     """Search unions of whole eligible pieces as overwrite regions.
 
     Overwriting more of the function with x only shrinks escapes, so the
-    union of all eligible pieces dominates: if it fails, every piece
-    union fails.  On success the first working subset in ascending
-    bitmask order (bit b = piece position b) is reported.
+    working unions are up-closed: if the union of all eligible pieces
+    fails, every one fails.  Else the least working nonzero bitmask (bit
+    b = piece position b) takes n checks: clear bits from the highest
+    down, keeping one cleared iff the mask with every lower bit set works.
     """
     eligible = _eligible_pieces(f, i)
     if not eligible:
         return None
-    a_max = _union(f.universe, eligible)
-    vmax = _decided(_converges_overwritten, f, T.compl(a_max), j, x)
+
+    def kept(mask):
+        return T.compl(_union(f.universe, [t for b, t in enumerate(eligible) if mask >> b & 1]))
+
+    mask = (1 << len(eligible)) - 1
+    vmax = _decided(_converges_overwritten, f, kept(mask), j, x)
     if vmax is Verdict.UNKNOWN:
         return None
     if vmax is Verdict.NO:
-        return StarResult(
-            Verdict.UNKNOWN,
-            None,
-            "no union of pieces inside the base ideal works as an overwrite region",
-        )
-    for mask in range(1, 1 << len(eligible)):
-        a = _union(f.universe, [t for b, t in enumerate(eligible) if mask >> b & 1])
-        w = Witness(T.compl(a), "union of pieces inside the base ideal")
-        if verify_witness(f, i, j, x, w):
-            return StarResult(Verdict.YES, w, "piece-union overwrite region")
+        return StarResult(Verdict.UNKNOWN, None,
+                          "no union of pieces inside the base ideal works as an overwrite region")
+    for b in reversed(range(len(eligible))):
+        trial = mask & ~(1 << b)
+        if trial and _converges_overwritten(f, kept(trial), j, x) is Verdict.YES:
+            mask = trial
+    w = Witness(kept(mask), "union of pieces inside the base ideal")
+    if verify_witness(f, i, j, x, w):
+        return StarResult(Verdict.YES, w, "piece-union overwrite region")
     return None
 
 
@@ -328,6 +339,42 @@ _ALREADY_CONVERGENT = {
                   "already convergent along the auxiliary ideal")
     for u in Universe
 }
+_REFINES_NO = StarResult(Verdict.NO, None, "the auxiliary ideal refines the base ideal, so star "
+                         "convergence would force base convergence, which fails")
+_MAXIMUM_NO = StarResult(Verdict.NO, None, "overwriting the largest member is the strongest "
+                         "modification available, and it fails")
+
+
+def _first_rungs(conv, over, i: Ideal, j: Ideal):
+    """Rungs (a)-(c), reading f only through conv(k), its convergence along
+    k, and over(m), its convergence along j once overwritten with x outside
+    m.  Returns the decision or None, and whether a check was undecided."""
+    v = conv(j)
+    if v is Verdict.YES:
+        return _ALREADY_CONVERGENT[i.universe], False
+    seen_unknown = v is Verdict.UNKNOWN
+    if known_subset(j, i):
+        vi = conv(i)
+        if vi is Verdict.NO:
+            return _REFINES_NO, seen_unknown
+        seen_unknown |= vi is Verdict.UNKNOWN
+    mt = maximum_term(i) if has_maximum(i) else None
+    if mt is not None:
+        w = Witness(T.compl(mt), "complement of the largest member")
+        vm = over(w.m)
+        if vm is Verdict.YES:
+            return StarResult(Verdict.YES, w, "overwrite on the largest member"), seen_unknown
+        if vm is Verdict.NO:
+            return _MAXIMUM_NO, seen_unknown
+        seen_unknown = True
+    return None, seen_unknown
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _star_on_escape(esc: SetTerm, i: Ideal, j: Ideal) -> Optional[StarResult]:
+    """Rungs (a)-(c) for every function whose stable escape set is esc,
+    which is all they read of it; undecided checks cannot arise here."""
+    return _first_rungs(lambda k: _along(k, esc), lambda m: _along(j, T.inter(esc, m)), i, j)[0]
 
 
 def star_converges(f: PiecewiseFn, i: Ideal, j: Ideal, x) -> StarResult:
@@ -336,41 +383,15 @@ def star_converges(f: PiecewiseFn, i: Ideal, j: Ideal, x) -> StarResult:
     if not (f.universe is i.universe is j.universe):
         raise UniverseMismatch("star_converges: universes differ")
     x = _check_target(f, x)
-    seen_unknown = False
-
-    v = _decided(_converges_cached, f, j, x)
-    if v is Verdict.YES:
-        return _ALREADY_CONVERGENT[f.universe]
-    if v is Verdict.UNKNOWN:
-        seen_unknown = True
-
-    if known_subset(j, i):
-        vi = _decided(_converges_cached, f, i, x)
-        if vi is Verdict.NO:
-            return StarResult(
-                Verdict.NO,
-                None,
-                "the auxiliary ideal refines the base ideal, so star "
-                "convergence would force base convergence, which fails",
-            )
-        if vi is Verdict.UNKNOWN:
-            seen_unknown = True
-
-    if has_maximum(i):
-        mt = maximum_term(i)
-        if mt is not None:
-            w = Witness(T.compl(mt), "complement of the largest member")
-            vm = _decided(_converges_overwritten, f, w.m, j, x)
-            if vm is Verdict.YES:
-                return StarResult(Verdict.YES, w, "overwrite on the largest member")
-            if vm is Verdict.NO:
-                return StarResult(
-                    Verdict.NO,
-                    None,
-                    "overwriting the largest member is the strongest "
-                    "modification available, and it fails",
-                )
-            seen_unknown = True
+    tails = isinstance(f.codomain, MetricLine) and has_tails_piece(f)
+    esc = None if tails and not (admissible(i) and admissible(j)) else _escape(f, x)
+    if esc is not None:
+        res, seen_unknown = _star_on_escape(esc, i, j), False
+    else:
+        res, seen_unknown = _first_rungs(lambda k: _decided(_converges_cached, f, k, x),
+                                         lambda m: _decided(_converges_overwritten, f, m, j, x), i, j)
+    if res is not None:
+        return res
 
     ap = additive_property(i, j)
     if ap.status is ApStatus.HOLDS:

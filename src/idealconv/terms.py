@@ -95,12 +95,13 @@ def on_node(fn):
     function or a finite space), so results die with it.  One argument
     gets one slot (nat_value, pair_grid, classify, remainder_term); more
     get a dict there keyed by the rest (a function's escape terms and
-    verdicts, a space's region words).  The ideals caches stay global
-    but bounded (ideals._MEMO_SIZE), as pinning shared terms and ideals
-    is load-bearing: in_ideal memoised on the term took finite-sweep's
-    wall_s from 0.63-0.74 s to 1.43-1.55 s, and ideal memos on the ideal
-    node took catalog-mix's warm_wall_s up 34%.  Functions still compare
-    by value, but no hot path hashes them."""
+    verdicts, a space's region words).  The ideals caches and the star
+    rungs (a)-(c), keyed by (escape term, i, j) and shared by every
+    function with that escape, stay global but bounded (ideals._MEMO_SIZE), as
+    pinning shared interned nodes is load-bearing: in_ideal memoised on
+    the term took finite-sweep's wall_s from 0.63-0.74 s to 1.43-1.55 s,
+    and ideal memos on the ideal node took catalog-mix's warm_wall_s up
+    34%.  Functions still compare by value, but no hot path hashes them."""
     slot = "_" + fn.__name__.lstrip("_")
     if fn.__code__.co_argcount == 1:
 

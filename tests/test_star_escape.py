@@ -5,8 +5,12 @@ itself, the regions whose value lies outside the kernel of x, is the term
 the stabilisation-radius construction builds."""
 
 import hashlib
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Fr
 
 from hypothesis import given, settings, strategies as st
@@ -330,3 +334,218 @@ def test_escape_is_the_stabilisation_radius_term(case):
         assert got == want, (f, x)
     else:
         assert got is want, (f, x)
+
+
+# --- rungs (a)-(c) on escape terms, against the per-function ladder ---
+#
+# The reference below is the ladder before rungs (a)-(c) were cached per
+# (escape, base, aux): every rung asks its convergence questions of f,
+# and rung (e) tries every piece mask in ascending order, each re-verified
+# from the definition.
+
+
+def _ref_subset_search(f, i, j, x):
+    eligible = conv._eligible_pieces(f, i)
+    if not eligible:
+        return None
+    a_max = conv._union(f.universe, eligible)
+    vmax = conv._decided(conv._converges_overwritten, f, T.compl(a_max), j, x)
+    if vmax is ic.Verdict.UNKNOWN:
+        return None
+    if vmax is ic.Verdict.NO:
+        return ic.StarResult(
+            ic.Verdict.UNKNOWN, None,
+            "no union of pieces inside the base ideal works as an overwrite region",
+        )
+    for mask in range(1, 1 << len(eligible)):
+        a = conv._union(f.universe, [t for b, t in enumerate(eligible) if mask >> b & 1])
+        w = ic.Witness(T.compl(a), "union of pieces inside the base ideal")
+        if ic.verify_witness(f, i, j, x, w):
+            return ic.StarResult(ic.Verdict.YES, w, "piece-union overwrite region")
+    return None
+
+
+def _ref_star(f, i, j, x):
+    YES, NO, UNKNOWN = ic.Verdict.YES, ic.Verdict.NO, ic.Verdict.UNKNOWN
+    x = conv._check_target(f, x)
+    seen_unknown = False
+    v = conv._decided(conv._converges_cached, f, j, x)
+    if v is YES:
+        return ic.StarResult(YES, ic.Witness(ic.full(f.universe), "no modification needed"),
+                             "already convergent along the auxiliary ideal")
+    if v is UNKNOWN:
+        seen_unknown = True
+    if ic.known_subset(j, i):
+        vi = conv._decided(conv._converges_cached, f, i, x)
+        if vi is NO:
+            return ic.StarResult(
+                NO, None,
+                "the auxiliary ideal refines the base ideal, so star "
+                "convergence would force base convergence, which fails",
+            )
+        if vi is UNKNOWN:
+            seen_unknown = True
+    if ic.has_maximum(i):
+        mt = ic.maximum_term(i)
+        if mt is not None:
+            w = ic.Witness(T.compl(mt), "complement of the largest member")
+            vm = conv._decided(conv._converges_overwritten, f, w.m, j, x)
+            if vm is YES:
+                return ic.StarResult(YES, w, "overwrite on the largest member")
+            if vm is NO:
+                return ic.StarResult(
+                    NO, None,
+                    "overwriting the largest member is the strongest "
+                    "modification available, and it fails",
+                )
+            seen_unknown = True
+    if ic.additive_property(i, j).status is ic.ApStatus.HOLDS:
+        vi = conv._decided(conv._converges_cached, f, i, x)
+        if vi is YES:
+            off = [t for t, v in conv._regions(f) if v != x]
+            if f.diagonal is not None:
+                off.append(T.compl(conv._piece_union(f)))
+            b = conv._union(f.universe, off)
+            if ic.in_ideal(i, b):
+                w = ic.Witness(T.compl(b), "complement of the off-target region")
+                try:
+                    if ic.verify_witness(f, i, j, x, w):
+                        return ic.StarResult(YES, w, "additive transfer of base convergence")
+                except AdmissibilityRequired:
+                    pass
+        elif vi is UNKNOWN:
+            seen_unknown = True
+    res = _ref_subset_search(f, i, j, x)
+    if res is not None and res.verdict is YES:
+        return res
+    ref = conv._diagonal_refutation(f, i, j, x)
+    if ref is not None:
+        return ref
+    reason = "no decision rule applied" if res is None else res.reason
+    if seen_unknown:
+        reason += "; some subordinate convergence questions were undecided"
+    return ic.StarResult(UNKNOWN, None, reason)
+
+
+def _assert_star_same(f, i, j, x):
+    got, want = ic.star_converges(f, i, j, x), _ref_star(f, i, j, x)
+    assert _star_line(got) == _star_line(want), (f, i, j, x)
+
+
+def test_star_matches_reference_ladder_on_corpus():
+    for fx in sampling.fixture_corpus():
+        _assert_star_same(fx.fn, fx.base, fx.aux, fx.x)
+        _assert_star_same(fx.fn, fx.aux, fx.base, fx.x)
+
+
+def test_star_matches_reference_ladder_on_finite_models():
+    n = 0
+    for s in range(1, 4):
+        enc = [encode_ideal(i) for i in enumerate_ideals(s)]
+        for sp in _spaces_upto(3):
+            spe = encode_space(sp)
+            for fn in _all_fns(s, sp.m):
+                for x in range(sp.m):
+                    f = encode_fn(fn, spe, x)
+                    for i in enc:
+                        for j in enc:
+                            _assert_star_same(f, i, j, x)
+                            n += 1
+    assert n == 168_664
+
+
+@settings(max_examples=300, deadline=None)
+@given(metric_cases(), st.sampled_from(_IDEALS), st.sampled_from(_IDEALS))
+def test_star_matches_reference_ladder_on_metric_functions(case, i, j):
+    # TailsTo pieces under inadmissible ideals and diagonals at their own
+    # target take the per-function checks; the rest share the escape cache
+    f, x = case
+    _assert_star_same(f, i, j, x)
+
+
+def test_functions_with_one_escape_share_the_cached_result():
+    i, j = ic.principal(ODD), ic.fin(NAT)
+    f = ic.piecewise(NAT, METRIC_LINE, [(ODD, ic.Const(1)), (EVEN, ic.Const(0))])
+    g = ic.piecewise(NAT, METRIC_LINE, [(ODD, ic.Const(2)), (EVEN, ic.Const(0))])
+    assert f is not g and conv._escape(f, Fr(0)) is conv._escape(g, Fr(0))
+    r = ic.star_converges(f, i, j, 0)
+    assert r.reason == "overwrite on the largest member"
+    assert ic.star_converges(g, i, j, 0) is r
+    # a re-built copy compares equal to f, and shares the result too
+    copy = ic.PiecewiseFn(f.universe, f.codomain, f.pieces, f.diagonal, f.default)
+    assert copy == f and copy is not f
+    assert ic.star_converges(copy, i, j, 0) is r
+
+
+def test_star_no_results_are_shared_constants():
+    # the NO results of rungs (b) and (c) are module constants, so the
+    # escape cache holds references, not copies
+    f = ic.piecewise(NAT, METRIC_LINE, [(ODD, ic.Const(1)), (EVEN, ic.Const(0))])
+    assert ic.star_converges(f, ic.fin(NAT), ic.fin(NAT), 0) is conv._REFINES_NO
+    assert ic.star_converges(f, ic.principal(EVEN), ic.fin(NAT), 0) is conv._MAXIMUM_NO
+
+
+FRESH_STAR_QUESTIONS = """
+import gc, json
+import idealconv as ic
+from idealconv import convergence as conv, terms as T
+
+bound = conv._star_on_escape.cache_info().maxsize
+nat = ic.Universe.NAT
+fin = ic.fin(nat)
+before = len(T._NODES)
+results = set()
+for k in range(1, 3 * bound + 1):
+    # a fresh escape per question: the finite set of the 1-based bit
+    # positions of k (already convergent) or the tail from k (rung (b) NO)
+    t = ic.finite_set(nat, [b + 1 for b in range(k.bit_length()) if k >> b & 1]) if k & 1 else ic.tail(k)
+    f = ic.PiecewiseFn(nat, ic.METRIC_LINE, ((t, ic.Const(1)), (ic.compl(t), ic.Const(0))))
+    results.add(id(ic.star_converges(f, fin, fin, 0)))
+del f, t
+gc.collect()
+print(json.dumps([bound, conv._star_on_escape.cache_info().currsize, len(T._NODES) - before, len(results)]))
+"""
+
+
+def test_fresh_star_questions_pin_at_most_the_bound():
+    # three times the bound in fresh star questions: the escape cache
+    # holds at most the bound, and each entry pins two nodes, the escape
+    # union and its fresh operand; both results are shared constants
+    src = os.path.dirname(os.path.dirname(ic.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", FRESH_STAR_QUESTIONS], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    bound, entries, nodes, results = json.loads(out.stdout)
+    assert bound is not None
+    assert entries <= bound and nodes <= 2 * bound + 16
+    assert results == 2
+
+
+MANY_COLUMNS = """
+import json, time
+import idealconv as ic
+
+pair = ic.Universe.NATPAIR
+cols = [ic.col(k) for k in range(1, 41)]
+f = ic.piecewise(pair, ic.METRIC_LINE, [(c, ic.Const(1)) for c in cols] + [(ic.compl(ic.union(*cols)), ic.Const(0))])
+t = time.perf_counter()
+r = ic.star_converges(f, ic.partition_ideal(ic.COLUMNS), ic.fin(pair), 0)
+elapsed = time.perf_counter() - t
+print(json.dumps([r.verdict.value, r.reason, r.witness.m is ic.compl(ic.union(*cols)), elapsed]))
+"""
+
+
+def test_piece_search_is_linear_in_the_pieces():
+    # only the union of all 40 columns works, the last mask of 2^40 - 1
+    # in ascending order; the greedy search needs 41 checks
+    src = os.path.dirname(os.path.dirname(ic.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", MANY_COLUMNS], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=3,
+    )
+    assert out.returncode == 0, out.stderr
+    verdict, reason, full_mask, elapsed = json.loads(out.stdout)
+    assert (verdict, reason, full_mask) == ("yes", "piece-union overwrite region", True)
+    assert elapsed < 1
