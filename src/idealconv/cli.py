@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -64,7 +65,22 @@ def _fail(message: str):
     raise _Exit(2, message)
 
 
+_JSON_DEPTH = 400  # two levels a term operator; the engine recurses out near 330 operators
+
+
+def _check_depth(text: str, what: str):
+    """Exit 2 on JSON nested past _JSON_DEPTH, before a parser recurses."""
+    depth = top = 0
+    # An unclosed string runs to the end, so the scan stays linear.
+    for c in re.sub(r'"(?:[^"\\]|\\.)*"?|[^[\]{}"]+', "", text, flags=re.S):
+        depth += 1 if c in "[{" else -1
+        top = max(top, depth)
+    if top > _JSON_DEPTH:
+        _fail(f"{what} nests {top} levels deep (limit {_JSON_DEPTH})")
+
+
 def _load_json(s: str):
+    _check_depth(s, "JSON")
     try:
         return json.loads(s)
     except json.JSONDecodeError as e:
@@ -135,10 +151,13 @@ _FIXTURE_KEYS = {"term", "element", "function", "ideal", "base", "aux", "point"}
 def _load_fixture(path: str) -> dict:
     try:
         with open(path, "rb") as fh:
-            doc = json.load(fh)
+            raw = fh.read()
+        text = raw.decode(json.detect_encoding(raw), "surrogatepass")  # as json.loads(raw) would
+        _check_depth(text, "fixture file")
+        doc = json.loads(text)
     except OSError as e:
         _fail(f"cannot read fixture file: {e}")
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         _fail(f"fixture file is not valid JSON: {e}")
     if not isinstance(doc, dict):
         _fail("fixture file must hold a JSON object")

@@ -9,19 +9,19 @@ them directly; tests cross-validate against a brute closure filter.
 Topologies are enumerated by filtering all families of subsets for the
 closure axioms.  Convergence, star convergence, the additive property,
 and the four property phrasings are evaluated by literal loops over the
-definitions; nothing here consults the symbolic engine.
+definitions; nothing here consults the symbolic engine.  The families
+the phrasings quantify over are enumerated once per base ideal, and the
+selection DP walks them: each family's achievable unions extend its
+parent's (all but its last member) by one step.
 
 A model (space, sequence fn, point x) depends on no ideal, so its region
 words are computed once and memoised on the space.  The word of a kept
 region m has 2^n bits: bit g is set iff every escape of fn from an open
-around x, cut down to m, lies inside generator g.  It is built from each
-escape e literally, as the AND over e of sup[e & m], where sup[a] sets
-the bits of the generators containing a.  The words of a model are
-packed into one int, the word of m at bit offset m * 2^n.
-brute_i_limits reads the word of the full region; brute_ihj walks the
-regions m whose complement lies in the base generator, in ascending
-order, with one bit test per region; brute_metric_ihj reads the words of
-its single escape from a table kept per (escape, n).
+around x, cut down to m, lies inside generator g; it is the AND over
+the escapes e of sup[e & m] (sup[a]: the generators containing a), kept
+at bit offset m * 2^n of one int.  brute_i_limits reads the full
+region's word; brute_ihj walks the regions whose complement lies in the
+base generator, ascending; brute_metric_ihj reads its one escape's words.
 
 The encode_* helpers embed a finite model into the symbolic side: the
 universe maps to 1..n inside NAT, the ideal to a principal ideal whose
@@ -33,31 +33,26 @@ preserves both convergence and star verdicts.
 lemma_suite evaluates the structural facts the toolkit relies on, each
 quantified exhaustively over a small size.  It first fills three tables
 for every space s, sequence f (its position in _all_fns) and point x:
-
-* lim_t[s][f][x], from _limit_row: bit g is set iff x is a limit under
-  generator g (2^n bits), the brute_i_limits verdicts, read from the
-  word of the full region;
-* lim[s][f][g], the same table transposed: the limit set under
-  generator g as a point mask;
-* star[s][f][x], one star row from _star_row: bit gi << n | gj is the
-  brute_ihj verdict for base generator gi and aux generator gj (2^(2n)
-  bits).  The block at offset gi * 2^n is the OR of the words of every
-  region m whose complement lies in gi: the literal existential over
-  regions, not its closed form at the smallest such m.
-
-Each claim then checks all ideals of one instance (a map, a sequence,
-or a sequence and a point) with a few word operations on those rows.
-The set bits of a failed test name the violations, in the order of the
-literal loops; the continuous-image and monotonicity claims, whose
-tests do not keep which pair failed, rerun their literal loop on that
-one instance.
+lim_t[s][f][x] from _limit_row (bit g: x is a limit under generator g),
+lim[s][f][g], its transpose (the limit set as a point mask), and
+star[s][f][x] from _star_row (bit gi << n | gj: the brute_ihj verdict,
+the OR of the words of every region whose complement lies in gi, not
+its closed form at the smallest such region).  Each claim then checks
+all ideals of one instance with a few word operations on those rows;
+the continuous-image claim reads every space's limit rows point by
+point, gathered once per map into the rows of the images.  The set bits
+of a failed test name the violations in the literal loops' order, and
+the claims whose tests lose that order rerun their literal loop on the
+failed instance.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from . import terms as T
 from .errors import SizeTooLarge
@@ -258,20 +253,27 @@ def brute_ihj(fn: tuple, i: FiniteIdeal, j: FiniteIdeal, sp: FiniteSpace, x: int
     return _first_region(_words_at(sp, fn, x), i, j)
 
 
+@lru_cache(maxsize=None)
+def _low_blocks(n: int) -> tuple:
+    """Per bit k, the 2^n-bit blocks at the regions without bit k."""
+    ng = 1 << n
+    return tuple(sum(((1 << ng) - 1) << (m << n) for m in range(ng) if not m >> k & 1) for k in range(n))
+
+
 def _star_row(fn: tuple, sp: FiniteSpace, x: int) -> int:
     """Every brute_ihj verdict of the model (sp, fn, x) as one int: bit
     gi << n | gj is set iff some region m whose complement lies in gi has
-    gj in its word, the OR of the words over all those m."""
+    gj in its word, the OR of the words over all those m.  The OR over the
+    supersets of each region is taken one bit at a time; each block then
+    moves from the region full ^ gi to gi, one bit at a time."""
     words = _words_at(sp, fn, x)
     n = len(fn)
-    word = (1 << (1 << n)) - 1
-    row = 0
-    for gi, ms in enumerate(_eligible(n)):
-        acc = 0
-        for m in ms:
-            acc |= words >> (m << n)
-        row |= (acc & word) << (gi << n)
-    return row
+    low = _low_blocks(n)
+    for k in range(n):
+        words |= words >> (1 << k << n) & low[k]
+    for k in range(n):
+        words = (words & low[k]) << (1 << k << n) | words >> (1 << k << n) & low[k]
+    return words
 
 
 def brute_ap(i: FiniteIdeal, j: FiniteIdeal) -> bool:
@@ -284,18 +286,20 @@ def brute_ap(i: FiniteIdeal, j: FiniteIdeal) -> bool:
     return False
 
 
-def _selection_exists(i: FiniteIdeal, j: FiniteIdeal, family) -> bool:
-    """Is there a per-member replacement inside the base ideal, each
-    within the aux ideal of its original, whose union stays in the base
-    ideal?  Dynamic programming over achievable unions."""
+def _selections(i: FiniteIdeal, j: FiniteIdeal, families) -> dict:
+    """Per family (a tuple, after its parent, all but its last member): is
+    there a per-member replacement inside the base ideal, each within the
+    aux ideal of its original, whose union stays in the base ideal?  Dynamic
+    programming over achievable unions, one step per family."""
     fam_i = i.family()
-    reach = {0}
-    for a in family:
-        cands = [b for b in fam_i if (b ^ a) & ~j.gen == 0]
-        if not cands:
-            return False
-        reach = {u | b for u in reach for b in cands}
-    return any(u & ~i.gen == 0 for u in reach)
+    cands, reach = {}, {(): {0}}
+    for f in families:
+        if f not in reach:
+            a = f[-1]
+            if a not in cands:
+                cands[a] = [b for b in fam_i if (b ^ a) & ~j.gen == 0]
+            reach[f] = {u | b for u in reach[f[:-1]] for b in cands[a]}
+    return {f: any(u & ~i.gen == 0 for u in r) for f, r in reach.items()}
 
 
 def _disjoint_families(masks):
@@ -337,6 +341,14 @@ def _chains(masks):
     return out
 
 
+@T.on_node
+def _pi_families(i: FiniteIdeal) -> tuple:
+    """The prefixes of the full family (the last is p3's), the disjoint
+    families and the chains of the base ideal, memoised on it."""
+    fam = i.family()
+    return [tuple(fam[:k]) for k in range(1, len(fam) + 1)], _disjoint_families(fam), _chains(fam)
+
+
 def brute_pi_conditions(i: FiniteIdeal, j: FiniteIdeal) -> dict:
     """The four phrasings of the additive property, evaluated literally:
 
@@ -345,12 +357,10 @@ def brute_pi_conditions(i: FiniteIdeal, j: FiniteIdeal) -> dict:
     p4: same, quantified over disjoint families;
     p6: same, quantified over nondecreasing families (chains).
     """
-    fam = i.family()
-    p1 = brute_ap(i, j)
-    p3 = _selection_exists(i, j, fam)
-    p4 = all(_selection_exists(i, j, d) for d in _disjoint_families(fam))
-    p6 = all(_selection_exists(i, j, c) for c in _chains(fam))
-    return {"p1": p1, "p3": p3, "p4": p4, "p6": p6}
+    prefixes, disjoint, chains = _pi_families(i)
+    ok = _selections(i, j, prefixes + disjoint + chains)
+    p4, p6 = all(ok[d] for d in disjoint), all(ok[c] for c in chains)
+    return {"p1": brute_ap(i, j), "p3": ok[prefixes[-1]], "p4": p4, "p6": p6}
 
 
 def _metric_escape(values: tuple, x) -> int:
@@ -369,29 +379,37 @@ def brute_metric_ihj(values: tuple, i: FiniteIdeal, j: FiniteIdeal, x):
 
 @lru_cache(maxsize=None)
 def _value_tables(m1: int, m2: int) -> tuple:
-    """Every value table {0..m1-1} -> {0..m2-1}, by code in base m2, with
-    pre[a], the preimage of each point mask a of the target."""
-    out = []
+    """Every value table {0..m1-1} -> {0..m2-1}, by code in base m2, and
+    pre[a][o], the codes (as bits) of the tables under which the preimage
+    of the point mask a of the target is o."""
+    tables, pre = [], [[0] * (1 << m1) for _ in range(1 << m2)]
     for code in range(m2 ** m1):
         tbl, c = [], code
         for _ in range(m1):
             tbl.append(c % m2)
             c //= m2
-        pre = tuple(sum(1 << p for p, y in enumerate(tbl) if a >> y & 1) for a in range(1 << m2))
-        out.append((tuple(tbl), pre))
-    return tuple(out)
+        tables.append(tuple(tbl))
+        for a, row in enumerate(pre):
+            row[sum(1 << p for p, y in enumerate(tbl) if a >> y & 1)] |= 1 << code
+    return tables, pre
 
 
 @lru_cache(maxsize=None)
+def _continuous_codes(sp1: FiniteSpace, sp2: FiniteSpace) -> tuple:
+    """The codes of the continuous maps sp1 -> sp2, ascending: for each
+    open of sp2, the codes whose preimage of it is some open of sp1 form
+    one bitset, and a map is continuous iff its code is in every one."""
+    pre, ok = _value_tables(sp1.m, sp2.m)[1], -1
+    for u in sp2.opens:
+        ok &= sum(pre[u][o] for o in sp1.opens)
+    return tuple(_bits(ok))
+
+
 def continuous_tables(sp1: FiniteSpace, sp2: FiniteSpace):
     """All continuous maps sp1 -> sp2 as value tuples: every open's
     preimage is an open of sp1."""
-    opens1 = frozenset(sp1.opens)
-    return tuple(
-        tbl
-        for tbl, pre in _value_tables(sp1.m, sp2.m)
-        if all(pre[u] in opens1 for u in sp2.opens)
-    )
+    tables = _value_tables(sp1.m, sp2.m)[0]
+    return tuple(tables[c] for c in _continuous_codes(sp1, sp2))
 
 
 # --- embedding into the symbolic engine ---
@@ -510,10 +528,10 @@ def lemma_suite(n: int) -> SuiteReport:
         [[_limit_row(fn, sp, x) for x in range(sp.m)] for fn in fns]
         for sp, fns in zip(spaces, fns_of)
     ]
-    lim = [
-        [[sum((r >> g & 1) << x for x, r in enumerate(rows)) for g in range(ng)] for rows in lim_s]
-        for lim_s in lim_t
-    ]
+    # Read as hex, a row's binary digits put bit g at bit 4g, so the rows of
+    # (s, f) shifted by x < MAX_POINTS <= 4 give lim[s][f][g] at bits 4g..4g+3.
+    nibbles = [[sum(int(f"{r:b}", 16) << x for x, r in enumerate(rows)) for rows in lim_s] for lim_s in lim_t]
+    lim = [[[t >> (g << 2) & 15 for g in range(ng)] for t in lim_s] for lim_s in nibbles]
     star = [
         [[_star_row(fn, sp, x) for x in range(sp.m)] for fn in fns]
         for sp, fns in zip(spaces, fns_of)
@@ -573,33 +591,34 @@ def lemma_suite(n: int) -> SuiteReport:
     def _c4():
         checked, bad = 0, []
 
-        def blocks(rows, pts, width):
-            """The transposed rows at the points pts, one ng-bit block per
-            point, as `width` bytes."""
-            return sum(rows[y] << x * ng for x, y in enumerate(pts)).to_bytes(width, "little")
+        def pack(rows):  # 16 bits a row
+            return int.from_bytes(struct.pack(f"<{len(rows)}H", *rows), "little")
 
-        # images[s2, tbl]: for every sequence of the domain in turn, the
-        # blocks of its image under tbl at the image points tbl[0], tbl[1],
-        # ...; a map holds iff each domain block lies inside its image's
-        images = {}
-        for sp1, fns1, lim1, lim_t1 in zip(spaces, fns_of, lim, lim_t):
-            width = (sp1.m * ng + 7) // 8
-            own = int.from_bytes(
-                b"".join(blocks(rows, range(sp1.m), width) for rows in lim_t1), "little"
-            )
+        # flat[s]: per point y of space s, the limit rows at y of every
+        # sequence; images[s2, m1][c]: per domain point x, the rows at tbl[x]
+        # of the images under tbl (code c), read from flat[s2] at
+        # gathers[m1, m2][c].  A map holds iff the domain's rows lie inside.
+        flat = [[r for col in zip(*rows) for r in col] for rows in lim_t]
+        gathers, images = {}, {}
+        for sp1, fns1, lim1, own in zip(spaces, fns_of, lim, map(pack, flat)):
             for s2, (sp2, lim2) in enumerate(zip(spaces, lim)):
-                for tbl in continuous_tables(sp1, sp2):
-                    checked += len(fns1) * ng
-                    image = images.get((s2, tbl))
-                    if image is None:
-                        pos = [0]  # pos[f]: position of tbl . fns1[f] in fns_of[s2]
+                tables = _value_tables(sp1.m, sp2.m)[0]
+                if (sp1.m, sp2.m) not in gathers:
+                    gathers[sp1.m, sp2.m] = at = []
+                    for tbl in tables:
+                        pos = [0]  # pos[f]: position of tbl . fns1[f] among the sequences of sp2
                         for _ in range(n):
                             pos = [f2 * sp2.m + y for f2 in pos for y in tbl]
-                        image = images[s2, tbl] = int.from_bytes(
-                            b"".join(blocks(lim_t[s2][f2], tbl, width) for f2 in pos), "little"
-                        )
-                    if not own & ~image:
+                        at.append([y * sp2.m ** n + f2 for y in tbl for f2 in pos])
+                if (s2, sp1.m) not in images:
+                    images[s2, sp1.m] = [pack([flat[s2][k] for k in at]) for at in gathers[sp1.m, sp2.m]]
+                image = images[s2, sp1.m]
+                codes = _continuous_codes(sp1, sp2)
+                checked += len(codes) * len(fns1) * ng
+                for c in codes:
+                    if not own & ~image[c]:
                         continue
+                    tbl = tables[c]
                     img = [0]  # img[a]: the image of point mask a
                     for x in range(sp1.m):
                         img += [b | 1 << tbl[x] for b in img]
@@ -680,6 +699,8 @@ def lemma_suite(n: int) -> SuiteReport:
     @claim("gap-function-when-aux-escapes-base")
     def _c9():
         checked, bad = 0, []
+        # outside[s][x]: the points outside the smallest open around x
+        outside = [[[y for y in range(sp.m) if not mn >> y & 1] for mn in map(sp.min_nbhd, range(sp.m))] for sp in spaces]
         for gi in range(full + 1):
             for gj in range(full + 1):
                 extra = gj & ~gi
@@ -687,9 +708,7 @@ def lemma_suite(n: int) -> SuiteReport:
                     continue
                 a = extra & -extra
                 for s, sp in enumerate(spaces):
-                    for x in range(sp.m):
-                        mn = sp.min_nbhd(x)
-                        ys = [y for y in range(sp.m) if not (mn >> y & 1)]
+                    for x, ys in enumerate(outside[s]):
                         if not ys:
                             continue
                         y = ys[0]
@@ -733,32 +752,38 @@ def lemma_suite(n: int) -> SuiteReport:
     def _c11():
         checked, bad = 0, []
         palette = (Fraction(0), Fraction(1), Fraction(1, 2))
-        for values in (tuple(palette[v] for v in fn) for fn in _all_fns(n, len(palette))):
-            parts = {}  # (x, m): (recombines, support of h, escape of g)
-            words = [_escape_words(_metric_escape(values, x), n) for x in palette]
-            for i in ideals:
-                for j in ideals:
-                    for x, w in zip(palette, words):
-                        found, m = _first_region(w, i, j)
-                        if not found:
+        sup, kinds, entries = _supersets(n), ("recombine", "support", "g-convergence"), {}
+        # An index's arithmetic depends only on its value, x and whether m
+        # keeps it (g keeps the value or takes x, h = value - g): done once.
+        for v, xi, kept in product(range(3), range(3), (0, 1)):
+            g = palette[v] if kept else palette[xi]
+            h = palette[v] - g
+            entries[v, xi, kept] = (palette[v] == g + h, h != 0, g != palette[xi])
+        for fn in _all_fns(n, len(palette)):
+            values = tuple(palette[v] for v in fn)
+            found = []  # (gi, gj, x's position, kind, m): the literal loops' order
+            for xi, x in enumerate(palette):
+                # brute_metric_ihj for every pair in one ascending pass over
+                # the regions: each gi keeps a word of the gj not yet met,
+                # and the gj newly in m's word have m as their first region
+                words = _escape_words(_metric_escape(values, x), n)
+                open_gj = [(1 << ng) - 1] * ng
+                for m in range(ng):
+                    word = words >> (m << n)
+                    es = [entries[v, xi, m >> k & 1] for k, v in enumerate(fn)]
+                    recombined, supp, esc_g = (sum(e[t] << k for k, e in enumerate(es)) for t in range(3))
+                    for s in _submasks(m):  # the gi whose complement m covers
+                        gi = full & ~m | s
+                        new = word & open_gj[gi]
+                        open_gj[gi] ^= new
+                        checked += new.bit_count()
+                        if recombined != full:
+                            found += ((gi, gj, xi, 0, m) for gj in _bits(new))
                             continue
-                        checked += 1
-                        if (x, m) not in parts:
-                            g = tuple(values[k] if m >> k & 1 else x for k in range(n))
-                            h = tuple(values[k] - g[k] for k in range(n))
-                            parts[x, m] = (
-                                all(values[k] == g[k] + h[k] for k in range(n)),
-                                sum(1 << k for k in range(n) if h[k] != 0),
-                                sum(1 << k for k in range(n) if g[k] != x),
-                            )
-                        recombines, supp, esc_g = parts[x, m]
-                        if not recombines:
-                            bad.append(f"recombine values={values} m={m}")
-                            continue
-                        if not i.contains(supp):
-                            bad.append(f"support values={values} m={m}")
-                        if not j.contains(esc_g):
-                            bad.append(f"g-convergence values={values} m={m}")
+                        if supp & ~gi:
+                            found += ((gi, gj, xi, 1, m) for gj in _bits(new))
+                        found += ((gi, gj, xi, 2, m) for gj in _bits(new & ~sup[esc_g]))
+            bad += (f"{kinds[k]} values={values} m={m}" for _, _, _, k, m in sorted(found))
         return checked, bad
 
     @claim("maximal-means-one-point-missing")

@@ -28,7 +28,8 @@ __all__ = ["PeriodicSet", "pow2", "v2"]
 
 def v2(n: int) -> int:
     """2-adic valuation of a positive integer."""
-    assert n >= 1
+    if n < 1:
+        raise PreconditionViolated(f"v2 needs a positive integer, got {n}")
     return (n & -n).bit_length() - 1
 
 
@@ -111,13 +112,15 @@ class PeriodicSet:
 
     @staticmethod
     def from_tail(m: int) -> "PeriodicSet":
-        assert m >= 1
+        if m < 1:
+            raise PreconditionViolated(f"a tail starts at 1 or later, not {m}")
         return PeriodicSet(m, 1, 1, 0)
 
     @staticmethod
     def from_residue(modulus: int, r: int) -> "PeriodicSet":
         """The class {n >= 1 : n = r (mod modulus)}."""
-        assert modulus >= 1
+        if modulus < 1:
+            raise PreconditionViolated(f"a residue class needs a modulus >= 1, not {modulus}")
         return PeriodicSet(1, modulus, 1 << (r % _fit(modulus)), 0)
 
     # -- membership --------------------------------------------------
@@ -176,12 +179,14 @@ class PeriodicSet:
 
     def card(self) -> int:
         """Number of members; only valid when the set is finite."""
-        assert self.is_finite()
+        if not self.is_finite():
+            raise PreconditionViolated("card of an infinite set")
         return self.below.bit_count()
 
     def elements(self):
         """Sorted members; only valid when the set is finite."""
-        assert self.is_finite()
+        if not self.is_finite():
+            raise PreconditionViolated("elements of an infinite set")
         return _bits(self.below)
 
     def classes_mod(self, m: int) -> frozenset:

@@ -601,3 +601,50 @@ def test_mutated_input_exits_cleanly(fuzz_file, data):
     rc, _, err = run(argv)
     assert rc in (0, 2, 3), (argv, err)
     assert rc != 2 or err.startswith("error:")
+
+
+# --- nesting budget at the JSON door ---
+
+
+def compl_chain(levels: int) -> str:
+    return '{"op":"compl","terms":[' * levels + '{"atom":"tail","start":1}' + "]}" * levels
+
+
+@pytest.mark.parametrize("levels", [330, 10_000])
+def test_deep_json_exits_2_before_parsing(levels):
+    # 330 operators overflow the engine's recursion, 10,000 the parser's
+    rc, out, err = run(["set", "classify", "--term", compl_chain(levels)])
+    assert (rc, out) == (2, "")
+    assert err == f"error: JSON nests {2 * levels + 1} levels deep (limit 400)\n"
+
+
+def test_deep_fixture_file_exits_2(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"term": ' + compl_chain(10_000) + "}")
+    rc, out, err = run(["set", "classify", "--fixture", str(path)])
+    assert (rc, out) == (2, "") and err.startswith("error: fixture file nests 20002 levels")
+
+
+def test_json_within_the_nesting_budget_is_read():
+    # brackets inside strings do not count toward the depth
+    rc, out, _ = run(["set", "classify", "--term", compl_chain(199)])
+    assert rc == 0 and "kind: empty" in out
+    rc, _, err = run(["set", "classify", "--term", '{"atom": "[[[[' + "[" * 500 + '"}'])
+    assert rc == 2 and "nests" not in err
+
+
+def test_unclosed_string_is_refused_in_linear_time():
+    # one open quote, then escaped quotes: a scan that retried each quote
+    # as the start of a string would take minutes here
+    cmd = [sys.executable, "-m", "idealconv.cli", "set", "classify", "--term", '"' + '\\"' * 50_000]
+    r = subprocess.run(cmd, capture_output=True, timeout=10)
+    assert r.returncode == 2 and r.stdout == b"" and r.stderr.startswith(b"error: bad JSON")
+
+
+def test_deep_utf16_fixture_file_exits_2(tmp_path):
+    # U+5B22 is the bytes 0x22 0x5B in UTF-16-LE: read byte-wise, the quotes
+    # fall out of step and every bracket of the chain lands inside a string
+    path = tmp_path / "deep16.json"
+    path.write_bytes(('{"point": "嬢", "term": ' + compl_chain(10_000) + "}").encode("utf-16-le"))
+    rc, out, err = run(["set", "classify", "--fixture", str(path)])
+    assert (rc, out) == (2, "") and err.startswith("error: fixture file nests 20002 levels")

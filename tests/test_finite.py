@@ -199,6 +199,124 @@ def test_pi_crosscheck_sizes():
     assert ic.pi_condition_crosscheck(3).pairs == 64
 
 
+# Reference copies of the selection DP and the family enumerations as
+# they were before the DP was shared along each base ideal's families:
+# every family is evaluated from scratch, and the enumerations are redone
+# per ideal pair.
+def _ref_selection_exists(i, j, family) -> bool:
+    fam_i = i.family()
+    reach = {0}
+    for a in family:
+        cands = [b for b in fam_i if (b ^ a) & ~j.gen == 0]
+        if not cands:
+            return False
+        reach = {u | b for u in reach for b in cands}
+    return any(u & ~i.gen == 0 for u in reach)
+
+
+def _ref_disjoint_families(masks):
+    out = [()]
+    masks = [m for m in masks if m]
+
+    def rec(start, used, acc):
+        for idx in range(start, len(masks)):
+            m = masks[idx]
+            if m & used:
+                continue
+            acc.append(m)
+            out.append(tuple(acc))
+            rec(idx + 1, used | m, acc)
+            acc.pop()
+
+    rec(0, 0, [])
+    return out
+
+
+def _ref_chains(masks):
+    out = []
+    masks = sorted(m for m in masks if m)
+
+    def rec(last, acc):
+        for m in masks:
+            if m > last and m & last == last and m != last:
+                acc.append(m)
+                out.append(tuple(acc))
+                rec(m, acc)
+                acc.pop()
+
+    for m in masks:
+        out.append((m,))
+        rec(m, [m])
+    return out
+
+
+def _ref_brute_pi_conditions(i, j) -> dict:
+    fam = i.family()
+    return {
+        "p1": ic.brute_ap(i, j),
+        "p3": _ref_selection_exists(i, j, fam),
+        "p4": all(_ref_selection_exists(i, j, d) for d in _ref_disjoint_families(fam)),
+        "p6": all(_ref_selection_exists(i, j, c) for c in _ref_chains(fam)),
+    }
+
+
+def _dp_selection(i, j, family) -> bool:
+    family = tuple(family)
+    return finite._selections(i, j, [family[:k] for k in range(1, len(family) + 1)])[family]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pi_conditions_match_reference_on_every_pair(n):
+    ideals = ic.enumerate_ideals(n)
+    for i in ideals:
+        fam = i.family()
+        prefixes, disjoint, chains = finite._pi_families(i)
+        assert finite._disjoint_families(fam) == disjoint == _ref_disjoint_families(fam)
+        assert finite._chains(fam) == chains == _ref_chains(fam)
+        assert prefixes[-1] == tuple(fam)
+        for j in ideals:
+            assert ic.brute_pi_conditions(i, j) == _ref_brute_pi_conditions(i, j), (i.gen, j.gen)
+            ok = finite._selections(i, j, prefixes + disjoint + chains)
+            assert all(ok[f] == _ref_selection_exists(i, j, f) for f in disjoint + chains)
+
+
+def test_pi_families_are_enumerated_once_per_base_ideal(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        f = getattr(finite, name)
+        return lambda masks: calls.update([name]) or f(masks)
+
+    for name in ("_disjoint_families", "_chains"):
+        monkeypatch.setattr(finite, name, counted(name))
+    assert ic.pi_condition_crosscheck(3).ok
+    assert calls == {"_disjoint_families": 8, "_chains": 8}
+
+
+@st.composite
+def _selection_triples(draw):
+    # members drawn from all masks, so some lie outside gi | gj and the
+    # answer is False: every pair of real families answers True
+    n = draw(st.integers(1, 4))
+    i, j = (FiniteIdeal(n, draw(st.integers(0, (1 << n) - 1))) for _ in "ij")
+    family = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    return i, j, family
+
+
+@settings(max_examples=400)
+@given(_selection_triples())
+def test_selection_dp_matches_reference_on_drawn_families(triple):
+    i, j, family = triple
+    assert _dp_selection(i, j, family) == _ref_selection_exists(i, j, family)
+
+
+def test_selection_dp_answers_false():
+    i, j = FiniteIdeal(3, 0b001), FiniteIdeal(3, 0b010)
+    assert _dp_selection(i, j, (0b011, 0b001)) is _ref_selection_exists(i, j, (0b011, 0b001)) is True
+    assert _dp_selection(i, j, (0b001, 0b100)) is _ref_selection_exists(i, j, (0b001, 0b100)) is False
+    assert _dp_selection(i, j, ()) is True
+
+
 def test_lemma_suite_small():
     rep = ic.lemma_suite(2)
     assert rep.ok and rep.violations == 0
@@ -302,6 +420,79 @@ def test_lemma_suite_dropped_limit(monkeypatch):
             "gens=1,1 sp=(0, 1, 3) fn=(1, 1) x=1",
         ),
     }
+
+
+def _ref_decomposition(n):
+    """decomposition-recombines as one literal loop over (values, i, j, x),
+    each first region found by brute_metric_ihj's walk, with the module's
+    own Fraction, escapes and region words, so that a patch reaches both."""
+    checked, bad = 0, []
+    palette = (finite.Fraction(0), finite.Fraction(1), finite.Fraction(1, 2))
+    ideals = ic.enumerate_ideals(n)
+    for fn in finite._all_fns(n, 3):
+        values = tuple(palette[v] for v in fn)
+        for i in ideals:
+            for j in ideals:
+                for x in palette:
+                    words = finite._escape_words(finite._metric_escape(values, x), n)
+                    found, m = finite._first_region(words, i, j)
+                    if not found:
+                        continue
+                    checked += 1
+                    g = tuple(values[k] if m >> k & 1 else x for k in range(n))
+                    h = tuple(values[k] - g[k] for k in range(n))
+                    if not all(values[k] == g[k] + h[k] for k in range(n)):
+                        bad.append(f"recombine values={values} m={m}")
+                        continue
+                    if not i.contains(sum(1 << k for k in range(n) if h[k] != 0)):
+                        bad.append(f"support values={values} m={m}")
+                    if not j.contains(sum(1 << k for k in range(n) if g[k] != x)):
+                        bad.append(f"g-convergence values={values} m={m}")
+    return checked, tuple(bad)
+
+
+class _Ghost(Fr):
+    """A zero that says it is not zero."""
+
+    def __ne__(self, other):
+        return True
+
+
+class _GhostSub(Fr):
+    """A value whose exact differences of zero come back as ghosts."""
+
+    def __sub__(self, other):
+        d = Fr.__sub__(self, other)
+        return _Ghost(d) if d == 0 else d
+
+
+class _OffSub(Fr):
+    """A value whose differences from a distinct value are off by 1/7."""
+
+    def __sub__(self, other):
+        d = Fr.__sub__(self, other)
+        return d + Fr(1, 7) if d else d
+
+
+def _drop_low_bit(escape):
+    return lambda values, x: (e := escape(values, x)) & (e - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("patch", ["none", "escape", "ghost", "off"])
+def test_decomposition_claim_matches_literal_loop(monkeypatch, n, patch):
+    # a broken escape gives g-convergence violations, ghost zeros support
+    # violations and skewed differences recombine violations: each in the
+    # literal loop's order and with its count of checked instances
+    if patch == "escape":
+        monkeypatch.setattr(finite, "_metric_escape", _drop_low_bit(finite._metric_escape))
+    elif patch != "none":
+        monkeypatch.setattr(finite, "Fraction", _GhostSub if patch == "ghost" else _OffSub)
+    claim = {c.name: c for c in ic.lemma_suite(n).claims}["decomposition-recombines"]
+    want = _ref_decomposition(n)
+    assert (claim.checked, claim.violations) == want
+    kind = {"none": None, "escape": "g-convergence", "ghost": "support", "off": "recombine"}[patch]
+    assert {v.split()[0] for v in want[1]} == ({kind} if kind else set())
 
 
 def _violated_claims(rep):

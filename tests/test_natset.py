@@ -352,3 +352,39 @@ def test_classify_counts_before_it_lists_in_256_mib():
     r = _run_capped(code, 256)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["finite", "9999999", "None"]
+
+
+# -- input checks hold under python -O, where assert statements vanish --
+
+PRECONDITIONS = """
+import json
+from idealconv.natset import PeriodicSet, v2
+
+infinite = PeriodicSet.from_tail(3)
+calls = {
+    "v2": lambda: v2(0),
+    "from_tail": lambda: PeriodicSet.from_tail(0),
+    "from_residue": lambda: PeriodicSet.from_residue(0, 1),
+    "card": infinite.card,
+    "elements": infinite.elements,
+}
+out = {}
+for name, call in calls.items():
+    try:
+        out[name] = repr(call())
+    except Exception as e:
+        out[name] = type(e).__name__
+print(json.dumps(out))
+"""
+
+
+def test_preconditions_raise_under_optimize_flag():
+    src = os.path.dirname(os.path.dirname(ic.__file__))
+    r = subprocess.run(
+        [sys.executable, "-O", "-c", PRECONDITIONS],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == dict.fromkeys(
+        ("v2", "from_tail", "from_residue", "card", "elements"), "PreconditionViolated"
+    )
