@@ -83,22 +83,17 @@ class ApVerdict:
     witness: Optional[BlockFamilyWitness] = None
 
 
-def _partition_of(i: Ideal) -> Optional[Partition]:
-    i = _normalize(i)
-    return i.partition if i.kind == "partition" else None
-
-
 def additive_property(i: Ideal, j: Ideal) -> ApVerdict:
     if known_subset(i, j):
         return ApVerdict(ApStatus.HOLDS, "base inside aux: the empty set absorbs")
     if has_maximum(i):
         return ApVerdict(ApStatus.HOLDS, "largest member absorbs any family")
-    p = _partition_of(i)
-    if p is not None and j.kind == "fin":
+    i, j = _normalize(i), _normalize(j)
+    if i.kind == "partition" and j.kind == "fin":
         return ApVerdict(
             ApStatus.FAILS,
             "blocks form a family no member almost contains",
-            refute_partition_fin(p),
+            refute_partition_fin(i.partition),
         )
     return ApVerdict(ApStatus.UNKNOWN, "no decision rule applied")
 

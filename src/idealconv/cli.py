@@ -235,11 +235,10 @@ def _cmd_ideal_info(args) -> int:
     obj = {"ideal": S.ideal_to_obj(i), "universe": i.universe.value, **flags}
     lines = [f"ideal: {i.kind}", f"universe: {i.universe.value}"]
     lines += [f"{k.replace('_', ' ')}: {str(v).lower()}" for k, v in flags.items()]
-    if flags["has_maximum"]:
-        mt = maximum_term(i)
-        if mt is not None:
-            obj["maximum"] = S.term_to_obj(mt)
-            lines.append(f"maximum: {S.canonical_dumps(S.term_to_obj(mt))}")
+    mt = maximum_term(i)
+    if mt is not None:
+        obj["maximum"] = S.term_to_obj(mt)
+        lines.append(f"maximum: {S.canonical_dumps(S.term_to_obj(mt))}")
     _emit(args, obj, lines)
     return 0
 

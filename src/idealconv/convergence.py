@@ -74,7 +74,6 @@ from .ideals import (
     Tri,
     _normalize,
     admissible,
-    has_maximum,
     in_filter,
     in_ideal,
     known_subset,
@@ -306,21 +305,13 @@ def _subset_search(f: PiecewiseFn, i: Ideal, j: Ideal, x) -> Optional[StarResult
     return None
 
 
-_CATALOG_PIDS = ("columns", "corner", "ruler")
-
-
 def _diagonal_refutation(f: PiecewiseFn, i: Ideal, j: Ideal, x) -> Optional[StarResult]:
     if f.diagonal is None or not isinstance(f.codomain, MetricLine):
         return None
     d = f.diagonal
     if as_fraction(x) != as_fraction(d.target):
         return None
-    if j.kind != "fin":
-        return None
-    inorm = _normalize(i)
-    if inorm.kind != "partition" or inorm.partition.pid not in _CATALOG_PIDS:
-        return None
-    if d.partition.pid not in _CATALOG_PIDS:
+    if _normalize(j).kind != "fin" or _normalize(i).kind != "partition":
         return None
     if f.pieces and not classify(_piece_union(f)).is_finite():
         return None
@@ -358,7 +349,7 @@ def _first_rungs(conv, over, i: Ideal, j: Ideal):
         if vi is Verdict.NO:
             return _REFINES_NO, seen_unknown
         seen_unknown |= vi is Verdict.UNKNOWN
-    mt = maximum_term(i) if has_maximum(i) else None
+    mt = maximum_term(i)
     if mt is not None:
         w = Witness(T.compl(mt), "complement of the largest member")
         vm = over(w.m)

@@ -12,12 +12,19 @@ The catalog:
                             bounded strip; equals partition_ideal(CORNER)
     uniform_product(l, k)   NATPAIR terms whose first k columns project
                             into a member of l, uniformly
-    pointwise_product(l, k) every one of the first k column cuts lies in l
-    pushforward(i, b)       images through a catalog bijection
+    pointwise_product(l, k) every one of the first k column cuts lies in l;
+                            equals uniform_product(l, k)
+    pushforward(i, b)       images through a catalog bijection; equals fin
+                            when i is fin
     trace_ideal(j, m)       sets whose intersection with m lies in j
 
 For partition ideals the partition must have infinitely many infinite
 blocks; residue partitions are rejected with FinitePartition.
+
+The three "equals" are exact identities (finitely many cuts lie in l iff
+their union does; a bijection maps finite sets onto finite sets), and
+decisions read the canonical descriptor, their right side, through
+`_normalize`.  Constructors and serialization keep the given descriptor.
 
 `known_subset` returns True only on a proven rule; False means "not
 known", not "disproven".  `prefix_unions_in_ideal` is the three-valued
@@ -28,7 +35,6 @@ lies in the ideal.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -172,9 +178,14 @@ def trace_ideal(base: Ideal, m: SetTerm) -> Ideal:
 
 
 def _normalize(i: Ideal) -> Ideal:
-    # pringsheim delegates membership to the corner partition
-    if i.kind == "pringsheim":
+    """The canonical descriptor of i's family (see the module docstring)."""
+    k = i.kind
+    if k == "pringsheim":
         return partition_ideal(CORNER)
+    if k == "pointwise_product":
+        return uniform_product(i.base, i.cutoff)
+    if k == "pushforward" and i.base.kind == "fin":
+        return fin(i.universe)
     return i
 
 
@@ -214,6 +225,7 @@ def partition_incidence(p: Partition, t: SetTerm):
 def in_ideal(i: Ideal, t: SetTerm) -> bool:
     if t.universe is not i.universe:
         raise UniverseMismatch("in_ideal: term universe differs from ideal universe")
+    i = _normalize(i)
     k = i.kind
     if k == "improper":
         return True
@@ -221,22 +233,12 @@ def in_ideal(i: Ideal, t: SetTerm) -> bool:
         return classify(t).is_finite()
     if k == "principal":
         return classify(T.diff(t, i.set_term)).is_empty()
-    if k == "pringsheim":
-        return in_ideal(_normalize(i), t)
     if k == "partition":
         finite, _ = partition_incidence(i.partition, t)
         return finite
     if k == "uniform_product":
         iv = pair_grid(t).project_second(i.cutoff)
         return in_ideal(i.base, T.interval_set_to_term(iv))
-    if k == "pointwise_product":
-        # the cut is constant on each x group, so one x per group meeting
-        # [1, cutoff] decides: the group's first, xcuts[ix]
-        g = pair_grid(t)
-        return all(
-            in_ideal(i.base, T.interval_set_to_term(g.cut_at(x)))
-            for x in g.xcuts[: bisect_right(g.xcuts, i.cutoff)]
-        )
     if k == "pushforward":
         return in_ideal(i.base, preimage_term(i.bijection, t))
     if k == "trace":
@@ -273,12 +275,13 @@ def admissible_on(i: Ideal, m: SetTerm) -> bool:
     """Every singleton drawn from m belongs to the ideal."""
     if m.universe is not i.universe:
         raise UniverseMismatch("admissible_on: universe mismatch")
+    i = _normalize(i)
     k = i.kind
-    if k in ("improper", "fin", "partition", "pringsheim"):
+    if k in ("improper", "fin", "partition"):
         return True
     if k == "principal":
         return classify(T.diff(m, i.set_term)).is_empty()
-    if k in ("uniform_product", "pointwise_product"):
+    if k == "uniform_product":
         # only columns up to the cutoff constrain singletons
         iv = pair_grid(m).project_second(i.cutoff)
         return admissible_on(i.base, T.interval_set_to_term(iv))
@@ -293,12 +296,13 @@ def admissible_on(i: Ideal, m: SetTerm) -> bool:
 def has_maximum(i: Ideal) -> bool:
     """Whether the ideal has a largest member (it is then principal as a
     family, whatever its descriptor)."""
+    i = _normalize(i)
     k = i.kind
     if k in ("improper", "principal"):
         return True
-    if k in ("fin", "partition", "pringsheim"):
+    if k in ("fin", "partition"):
         return False
-    if k in ("uniform_product", "pointwise_product", "pushforward"):
+    if k in ("uniform_product", "pushforward"):
         return has_maximum(i.base)
     if k == "trace":
         return (not proper(i)) or has_maximum(i.base)
@@ -331,19 +335,19 @@ def _lift_second(t: SetTerm) -> SetTerm:
 def maximum_term(i: Ideal) -> Optional[SetTerm]:
     """A term for the largest member when one is representable, else None.
 
-    has_maximum(i) may be True with maximum_term(i) None: existence of a
-    maximum does not require the catalog to express it.
+    None whenever has_maximum(i) is False.  has_maximum(i) may be True
+    with maximum_term(i) None: existence of a maximum does not require the
+    catalog to express it.
     """
+    i = _normalize(i)
     k = i.kind
     if k == "improper":
         return T.full(i.universe)
     if k == "principal":
         return i.set_term
-    if k in ("fin", "partition", "pringsheim"):
+    if k in ("fin", "partition"):
         return None
-    if k in ("uniform_product", "pointwise_product"):
-        if not has_maximum(i.base):
-            return None
+    if k == "uniform_product":
         mt = maximum_term(i.base)
         if mt is None:
             return None
@@ -355,7 +359,7 @@ def maximum_term(i: Ideal) -> Optional[SetTerm]:
         low = T.union(*[T.col(x) for x in range(1, i.cutoff + 1)])
         return T.union(T.inter(low, lifted), T.compl(low))
     if k == "pushforward":
-        mt = maximum_term(i.base) if has_maximum(i.base) else None
+        mt = maximum_term(i.base)
         if mt is None:
             return None
         try:
@@ -365,7 +369,7 @@ def maximum_term(i: Ideal) -> Optional[SetTerm]:
     if k == "trace":
         if not proper(i):
             return T.full(i.universe)
-        mt = maximum_term(i.base) if has_maximum(i.base) else None
+        mt = maximum_term(i.base)
         if mt is None:
             return None
         return T.union(mt, T.compl(i.set_term))
@@ -404,19 +408,9 @@ def known_subset(a: Ideal, b: Ideal) -> bool:
     if an.kind == "trace" and bn.kind == "trace" and an.set_term == bn.set_term:
         return known_subset(an.base, bn.base)
     if an.kind == "pushforward" and bn.kind == "pushforward":
-        if an.bijection == bn.bijection:
-            return known_subset(an.base, bn.base)
-        return False
-    if an.kind in ("uniform_product", "pointwise_product") and bn.kind in (
-        "uniform_product",
-        "pointwise_product",
-    ):
-        if an.cutoff != bn.cutoff:
-            return False
-        if an.kind == "pointwise_product" and bn.kind == "uniform_product":
-            return False
-        # uniform control implies pointwise control column by column
-        return known_subset(an.base, bn.base) or an.base == bn.base
+        return an.bijection == bn.bijection and known_subset(an.base, bn.base)
+    if an.kind == "uniform_product" and bn.kind == "uniform_product":
+        return an.cutoff == bn.cutoff and known_subset(an.base, bn.base)
     return False
 
 
@@ -446,10 +440,9 @@ def prefix_unions_in_ideal(i: Ideal, p: Partition) -> Tri:
         # generator is everything, and that ideal is improper
         return Tri.FALSE
     if k == "partition":
-        q = inorm.partition
-        if q.pid == p.pid:
-            return Tri.TRUE
-        if p.pid == "columns" and q.pid == "corner":
+        # every prefix union is a member of partition_ideal(p), and every
+        # member of it lies in some prefix union
+        if p.infinitely_many_infinite_blocks and known_subset(partition_ideal(p), inorm):
             return Tri.TRUE
         return Tri.UNKNOWN
     if k == "pushforward":

@@ -26,7 +26,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .errors import SizeTooLarge
+from .errors import PreconditionViolated, SizeTooLarge
 from .natset import _BUDGET_LOG2
 
 __all__ = ["Cells", "IntervalSet", "PairGrid"]
@@ -67,7 +67,8 @@ class IntervalSet:
         return all(hi is not None for _, hi in self.spans)
 
     def members(self):
-        assert self.is_finite()
+        if not self.is_finite():
+            raise PreconditionViolated("members of an infinite interval set")
         out = []
         for lo, hi in self.spans:
             out.extend(range(lo, hi + 1))

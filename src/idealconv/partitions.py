@@ -114,7 +114,7 @@ def bound_for_count(p: Partition, i: int, k: int) -> int:
     if i < 1 or k < 1:
         raise PreconditionViolated(f"block index and count must be >= 1, got {i}, {k}")
     if p.modulus is not None and i > p.modulus:
-        raise ValueError("residue class index exceeds modulus")
+        raise PreconditionViolated(f"residue class index {i} exceeds modulus {p.modulus}")
     if p.pid == "columns":
         b = max(i, k)
     elif p.pid == "corner":

@@ -85,10 +85,15 @@ class FiniteTop:
         return True
 
 
-def finite_top(points, opens) -> FiniteTop:
+def _distinct(points) -> tuple:
     pts = tuple(points)
     if len(set(pts)) != len(pts):
         raise PreconditionViolated("duplicate points")
+    return pts
+
+
+def finite_top(points, opens) -> FiniteTop:
+    pts = _distinct(points)
     ops = frozenset(frozenset(o) for o in opens)
     universe = frozenset(pts)
     if frozenset() not in ops or universe not in ops:
@@ -104,7 +109,7 @@ def finite_top(points, opens) -> FiniteTop:
 
 
 def discrete(points) -> FiniteTop:
-    pts = tuple(points)
+    pts = _distinct(points)
     subsets = []
     for mask in range(1 << len(pts)):
         subsets.append(frozenset(p for i, p in enumerate(pts) if mask >> i & 1))
@@ -112,7 +117,7 @@ def discrete(points) -> FiniteTop:
 
 
 def indiscrete(points) -> FiniteTop:
-    pts = tuple(points)
+    pts = _distinct(points)
     return FiniteTop(pts, frozenset({frozenset(), frozenset(pts)}))
 
 

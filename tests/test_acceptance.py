@@ -56,12 +56,11 @@ def test_criterion_3_grid_ideal_identity(capsys):
     # and block incidence must be stable across truncation bounds
     rng = random.Random(20260816)
     prg = ic.pringsheim()
-    cor = ic.partition_ideal(ic.CORNER)
     bad = 0
     n = 1000
     for _ in range(n):
         t = sampling.random_term(rng, ic.Universe.NATPAIR)
-        if ic.in_ideal(prg, t) != ic.in_ideal(cor, t):
+        if ic.in_ideal(prg, t) != ic.quadrant_avoidance(t):
             bad += 1
             continue
         met10 = {block_of(ic.CORNER, e) for e in ic.truncate(t, 10)}

@@ -50,6 +50,15 @@ def test_finite_top_validation():
     assert not ic.indiscrete(("x", "y")).is_hausdorff()
 
 
+def test_named_spaces_reject_duplicate_points():
+    # a repeated point would be listed twice as a limit
+    for make in (ic.discrete, ic.indiscrete):
+        with pytest.raises(PreconditionViolated):
+            make([1, 1, 2])
+    f = ic.constant_fn(NAT, ic.indiscrete([1, 2]), 1)
+    assert ic.limits(f, ic.fin()) == (1, 2)
+
+
 def test_table_map_continuity():
     sp = ic.sierpinski()
     d2 = ic.discrete(("u", "v"))

@@ -102,6 +102,13 @@ CASES = [
      st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
          lambda ix: ic.union(*[ic.block(ic.RULER, i) for i in ix])),
      nat_terms),
+    (ic.pointwise_product(ic.fin(NAT), 2),
+     pair_terms.map(lambda t: ic.inter(t, ic.compl(ic.union(ic.col(1), ic.col(2))))),
+     pair_terms),
+    (ic.pushforward(ic.fin(NAT), walk()),
+     st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), max_size=5).map(
+         lambda xs: ic.finite_set(PAIR, xs)),
+     pair_terms),
 ]
 
 CASE_IDS = st.integers(0, len(CASES) - 1)
@@ -248,11 +255,12 @@ def test_known_subset_frozen():
     push = ic.pushforward
     assert ic.known_subset(push(fin, walk()), push(ruler, walk())) is True
     assert ic.known_subset(push(ruler, walk()), push(fin, walk())) is False
-    assert ic.known_subset(push(fin, ic.PAIRING), push(ruler, walk())) is False
-    # uniform control implies pointwise control, at one cutoff only
+    # a pushforward of fin is fin, which lies in every admissible ideal
+    assert ic.known_subset(push(fin, ic.PAIRING), push(ruler, walk())) is True
+    # the two product kinds are one family at one cutoff
     uniform, pointwise = ic.uniform_product, ic.pointwise_product
     assert ic.known_subset(uniform(fin, 2), pointwise(fin, 2)) is True
-    assert ic.known_subset(pointwise(fin, 2), uniform(fin, 2)) is False
+    assert ic.known_subset(pointwise(fin, 2), uniform(fin, 2)) is True
     assert ic.known_subset(uniform(fin, 2), uniform(ruler, 2)) is True
     assert ic.known_subset(uniform(fin, 2), uniform(fin, 3)) is False
     assert ic.known_subset(pointwise(fin, 2), pointwise(ruler, 2)) is True
@@ -394,17 +402,29 @@ def test_pointwise_product_matches_per_x_loop(base, cutoff, t):
 
 
 def test_pointwise_product_cost_follows_the_grid_not_the_cutoff(monkeypatch):
-    # one cut, and so one base-ideal call, per x group meeting [1, cutoff]
+    # one projection of the grid, and so one base-ideal call, per question
     # rather than one per x
-    cuts = []
-    cut_at = PairGrid.cut_at
-    monkeypatch.setattr(PairGrid, "cut_at", lambda g, x: cuts.append(x) or cut_at(g, x))
+    calls = []
+    project_second = PairGrid.project_second
+    monkeypatch.setattr(
+        PairGrid, "project_second", lambda g, x: calls.append(x) or project_second(g, x)
+    )
     ic.in_ideal.cache_clear()
     i = ic.pointwise_product(ic.fin(NAT), 10**5)
     for t, want in ((ic.row(1), True), (ic.col(10**5), False)):
-        cuts.clear()
+        calls.clear()
         assert ic.in_ideal(i, t) == want
-        assert 1 <= len(cuts) <= len(T.pair_grid(t).xcuts)
+        assert calls == [10**5]
+
+
+@settings(max_examples=150)
+@given(st.booleans(), st.data())
+def test_pushforward_of_fin_matches_preimage_route(back, data):
+    # fin read through the bijection's preimage table, in both directions
+    b = ic.invert(walk()) if back else walk()
+    t = data.draw(nat_terms if back else pair_terms)
+    i = ic.pushforward(ic.fin(b.source), b)
+    assert ic.in_ideal(i, t) == ic.in_ideal(ic.fin(b.source), ic.preimage_term(b, t))
 
 
 # --- bounded decision caches ---

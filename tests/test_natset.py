@@ -359,6 +359,7 @@ def test_classify_counts_before_it_lists_in_256_mib():
 PRECONDITIONS = """
 import json
 from idealconv.natset import PeriodicSet, v2
+from idealconv.pairset import IntervalSet
 
 infinite = PeriodicSet.from_tail(3)
 calls = {
@@ -367,6 +368,7 @@ calls = {
     "from_residue": lambda: PeriodicSet.from_residue(0, 1),
     "card": infinite.card,
     "elements": infinite.elements,
+    "members": IntervalSet.of((3, None)).members,
 }
 out = {}
 for name, call in calls.items():
@@ -386,5 +388,5 @@ def test_preconditions_raise_under_optimize_flag():
     )
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout) == dict.fromkeys(
-        ("v2", "from_tail", "from_residue", "card", "elements"), "PreconditionViolated"
+        ("v2", "from_tail", "from_residue", "card", "elements", "members"), "PreconditionViolated"
     )

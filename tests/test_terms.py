@@ -261,8 +261,8 @@ def test_block_count_upto_exact(p, i, bound):
 @given(st.sampled_from(PARTS), st.integers(1, 6), st.integers(1, 30))
 def test_bound_for_count_guarantee(p, i, k):
     if p.modulus is not None and i > p.modulus:
-        import pytest
-        with pytest.raises(ValueError):
+        from idealconv.errors import PreconditionViolated
+        with pytest.raises(PreconditionViolated):
             ic.bound_for_count(p, i, k)
         return
     b = ic.bound_for_count(p, i, k)
