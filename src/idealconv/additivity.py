@@ -42,7 +42,7 @@ from .ideals import (
     subseteq_mod,
 )
 from .partitions import Partition, block_count_upto
-from .terms import SetTerm, classify
+from .terms import SetTerm
 
 __all__ = [
     "ApStatus",
@@ -158,10 +158,10 @@ def certify_failure_on_truncation(w: BlockFamilyWitness, samples, bound: int) ->
         # blocks has finite overlap with it
         _, met = partition_incidence(p, a)
         for n in range(1, len(met) + 2):
-            overlap_cls = classify(T.inter(T.block(p, n), a))
-            if overlap_cls.is_finite():
+            overlap = T.value(T.inter(T.block(p, n), a))
+            if overlap.is_finite():
                 break
-        c = overlap_cls.cardinality
+        c = overlap.card()
         survivors = len(T.truncate(T.diff(T.block(p, n), a), bound))
         inside = len(T.truncate(T.inter(T.block(p, n), a), bound))
         census = block_count_upto(p, n, bound) - inside

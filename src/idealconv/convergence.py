@@ -82,7 +82,7 @@ from .ideals import (
 )
 from .partitions import Partition
 from .spaces import FiniteTop, MetricLine, as_fraction
-from .terms import SetTerm, classify
+from .terms import SetTerm
 from .universe import Universe
 
 __all__ = [
@@ -136,7 +136,7 @@ def _regions(f: PiecewiseFn) -> tuple:
     """(term, value) for each piece, then the default's region when it is
     nonempty.  The diagonal's region is left to its callers."""
     out = tuple((t, s.value) for t, s in f.pieces)
-    if f.default is not None and not classify(remainder_term(f)).is_empty():
+    if f.default is not None and not T.value(remainder_term(f)).is_empty():
         out += ((remainder_term(f), f.default),)
     return out
 
@@ -161,18 +161,18 @@ def _escape(f: PiecewiseFn, x):
     small enough neighborhood of x lets escape (modulo a finite set for
     TailsTo pieces).  None for a diagonal at its own target, whose
     escapes keep growing as the ball shrinks."""
-    d = f.diagonal
-    if d is None:
-        return _union(f.universe, _piece_escape(f, x))
-    delta = x - as_fraction(d.target)
-    if delta == 0:
-        return None
-    # away from the target small balls around x hold one block at most:
-    # block c/delta, when that is a positive integer, has the value x
-    q = as_fraction(d.scale) / delta
-    keep = [T.block(d.partition, int(q))] if q.denominator == 1 and q >= 1 else []
-    diag_escape = T.diff(T.diff(T.full(f.universe), _union(f.universe, keep)), _piece_union(f))
-    return _union(f.universe, _piece_escape(f, x) + [diag_escape])
+    esc, d = _piece_escape(f, x), f.diagonal
+    if d is not None:
+        delta = x - as_fraction(d.target)
+        if delta == 0:
+            return None
+        # away from the target small balls around x hold one block at
+        # most: block c/delta, when that is a positive integer, has the value x
+        q = as_fraction(d.scale) / delta
+        keep = [T.block(d.partition, int(q))] if q.denominator == 1 and q >= 1 else []
+        esc.append(T.diff(T.diff(T.full(f.universe), _union(f.universe, keep)), _piece_union(f)))
+    # one region is its own escape, not a one-operand union
+    return esc[0] if len(esc) == 1 else _union(f.universe, esc)
 
 
 def _converges_at_target(f: PiecewiseFn, i: Ideal, x: Fraction) -> Verdict:
@@ -181,16 +181,15 @@ def _converges_at_target(f: PiecewiseFn, i: Ideal, x: Fraction) -> Verdict:
     # asked only on the region the pieces leave to the diagonal
     if not in_ideal(i, _union(f.universe, _piece_escape(f, x))):
         return Verdict.NO
-    pu = _piece_union(f)
-    live = classify(T.diff(T.full(f.universe), pu))
+    pu = T.value(_piece_union(f))
+    live = pu.compl()
     if live.is_empty() or (live.is_finite() and admissible(i)):
         return Verdict.YES
     pv = prefix_unions_in_ideal(i, f.diagonal.partition)
     if pv is Tri.TRUE:
         return Verdict.YES
     if pv is Tri.FALSE:
-        cls = classify(pu)
-        if cls.is_empty() or (cls.is_finite() and admissible(i)):
+        if pu.is_empty() or (pu.is_finite() and admissible(i)):
             return Verdict.NO
     return Verdict.UNKNOWN
 
@@ -313,7 +312,7 @@ def _diagonal_refutation(f: PiecewiseFn, i: Ideal, j: Ideal, x) -> Optional[Star
         return None
     if _normalize(j).kind != "fin" or _normalize(i).kind != "partition":
         return None
-    if f.pieces and not classify(_piece_union(f)).is_finite():
+    if f.pieces and not T.value(_piece_union(f)).is_finite():
         return None
     return StarResult(
         Verdict.NO,

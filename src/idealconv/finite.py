@@ -217,21 +217,17 @@ def _words_at(sp: FiniteSpace, fn: tuple, x: int) -> int:
 
 @lru_cache(maxsize=None)
 def _eligible(n: int) -> tuple:
-    """For each base generator gi, the regions m whose complement lies in
-    gi, ascending."""
+    """For each base generator gi, a spread mask with bit m << n set for
+    each region m whose complement lies in gi."""
     full = (1 << n) - 1
-    return tuple(
-        tuple(m for m in range(full + 1) if not (full & ~m) & ~gi) for gi in range(full + 1)
-    )
+    return tuple(sum(1 << (m << n) for m in range(full + 1) if m | gi == full) for gi in range(full + 1))
 
 
 def _first_region(words: int, i: FiniteIdeal, j: FiniteIdeal):
-    """The first eligible region m (ascending) whose word holds j."""
-    n = i.n
-    for m in _eligible(n)[i.gen]:
-        if words >> (m << n | j.gen) & 1:
-            return True, m
-    return False, None
+    """The first eligible region m (ascending) whose word holds j: the
+    lowest set bit of the eligible regions' j bits."""
+    hits = words >> j.gen & _eligible(i.n)[i.gen]
+    return (True, ((hits & -hits).bit_length() - 1) >> i.n) if hits else (False, None)
 
 
 def _limit_row(fn: tuple, sp: FiniteSpace, x: int) -> int:

@@ -29,7 +29,7 @@ from . import terms as T
 from .errors import InvalidFunction, UniverseMismatch
 from .partitions import Partition, block_of
 from .spaces import ContinuousMap, FiniteTop, MetricLine, as_fraction, map_value
-from .terms import SetTerm, classify
+from .terms import SetTerm
 from .universe import Universe, canonical_rank, check_element
 
 __all__ = [
@@ -136,7 +136,7 @@ def validate_fn(f: PiecewiseFn) -> ValidationReport:
             ti, tj = f.pieces[i][0], f.pieces[j][0]
             if ti.universe is not f.universe or tj.universe is not f.universe:
                 continue
-            if not classify(T.inter(ti, tj)).is_empty():
+            if not T.value(T.inter(ti, tj)).is_empty():
                 problems.append(f"pieces {i} and {j} overlap")
     if f.diagonal is not None:
         d = f.diagonal
@@ -151,10 +151,10 @@ def validate_fn(f: PiecewiseFn) -> ValidationReport:
     else:
         terms = [t for t, _ in f.pieces if t.universe is f.universe]
         rest = T.compl(T.union(*terms)) if terms else T.full(f.universe)
-        cls = classify(rest)
-        if cls.kind == "infinite":
+        v = T.value(rest)
+        if not v.is_finite():
             problems.append("pieces leave an infinite region uncovered and no diagonal")
-        elif cls.kind == "finite" and f.default is None:
+        elif not v.is_empty() and f.default is None:
             problems.append("finite uncovered region needs a default value")
         if f.default is not None and not _value_ok(f.codomain, f.default):
             problems.append(f"default value {f.default!r} is outside the codomain")

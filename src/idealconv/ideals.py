@@ -44,7 +44,7 @@ from .bijections import Bijection, invert, preimage_term
 from .errors import FinitePartition, PreconditionViolated, PreimageNotRepresentable
 from .errors import SizeTooLarge, UniverseMismatch
 from .partitions import CORNER, Partition
-from .terms import SetTerm, classify, pair_grid
+from .terms import SetTerm, pair_grid
 from .universe import Universe, is_element
 
 __all__ = [
@@ -223,6 +223,8 @@ def partition_incidence(p: Partition, t: SetTerm):
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def in_ideal(i: Ideal, t: SetTerm) -> bool:
+    """Whether t lies in i, read off normal forms and block incidences: no
+    rule lists t's elements, and fin, or principal on NAT, builds no node."""
     if t.universe is not i.universe:
         raise UniverseMismatch("in_ideal: term universe differs from ideal universe")
     i = _normalize(i)
@@ -230,9 +232,9 @@ def in_ideal(i: Ideal, t: SetTerm) -> bool:
     if k == "improper":
         return True
     if k == "fin":
-        return classify(t).is_finite()
+        return T.value(t).is_finite()
     if k == "principal":
-        return classify(T.diff(t, i.set_term)).is_empty()
+        return T.subset(t, i.set_term)
     if k == "partition":
         finite, _ = partition_incidence(i.partition, t)
         return finite
@@ -280,7 +282,7 @@ def admissible_on(i: Ideal, m: SetTerm) -> bool:
     if k in ("improper", "fin", "partition"):
         return True
     if k == "principal":
-        return classify(T.diff(m, i.set_term)).is_empty()
+        return T.subset(m, i.set_term)
     if k == "uniform_product":
         # only columns up to the cutoff constrain singletons
         iv = pair_grid(m).project_second(i.cutoff)
@@ -395,13 +397,8 @@ def known_subset(a: Ideal, b: Ideal) -> bool:
     if an.kind == "fin":
         return admissible(bn)
     if an.kind == "partition" and bn.kind == "partition":
-        pa, pb = an.partition, bn.partition
-        if pa.pid == pb.pid:
-            return True
-        if pa.pid == "columns" and pb.pid == "corner":
-            # finitely many columns meet finitely many corner hooks
-            return True
-        return False
+        # finitely many columns meet finitely many corner hooks
+        return an.partition.pid == "columns" and bn.partition.pid == "corner"
     if bn.kind == "trace" and known_subset(an, bn.base):
         # a subset of j is a subset of any trace of j
         return True
@@ -414,10 +411,6 @@ def known_subset(a: Ideal, b: Ideal) -> bool:
     return False
 
 
-def _prefix_term(p: Partition, m: int) -> SetTerm:
-    return T.union(*[T.block(p, i) for i in range(1, m + 1)])
-
-
 @lru_cache(maxsize=_MEMO_SIZE)
 def prefix_unions_in_ideal(i: Ideal, p: Partition) -> Tri:
     """Does every finite union of leading blocks of p lie in i?
@@ -428,8 +421,11 @@ def prefix_unions_in_ideal(i: Ideal, p: Partition) -> Tri:
     """
     if p.universe is not i.universe:
         raise UniverseMismatch("prefix_unions_in_ideal: universe mismatch")
+    if p.modulus is not None:
+        # a residue partition's blocks together are the universe
+        return Tri.FALSE if proper(i) else Tri.TRUE
     for m in (1, 2, 3, 4):
-        if not in_ideal(i, _prefix_term(p, m)):
+        if not in_ideal(i, T.union(*[T.block(p, b) for b in range(1, m + 1)])):
             return Tri.FALSE
     if not proper(i):
         return Tri.TRUE

@@ -155,6 +155,13 @@ class PeriodicSet:
     def diff(self, other):
         return self._combine(other, lambda a, b: a & ~b)
 
+    def issubset(self, other: "PeriodicSet") -> bool:
+        """self <= other, with the budget checks of _combine and no set built."""
+        t = _fit(max(self.threshold, other.threshold))
+        p = _fit(_lcm(self.period, other.period))
+        return not (_tile(self.residues, self.period, p) & ~_tile(other.residues, other.period, p)
+                    or self._prefix(t) & ~other._prefix(t))
+
     def compl(self) -> "PeriodicSet":
         residues = self.residues ^ ((1 << self.period) - 1)
         below = self.below ^ ((1 << _fit(self.threshold)) - 2)
@@ -173,6 +180,9 @@ class PeriodicSet:
         return self
 
     # -- classification ----------------------------------------------
+
+    def is_empty(self) -> bool:
+        return not (self.residues or self.below)
 
     def is_finite(self) -> bool:
         return not self.residues

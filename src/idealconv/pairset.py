@@ -163,6 +163,9 @@ class PairGrid:
     def is_empty(self) -> bool:
         return not self.mask
 
+    def compl(self) -> "PairGrid":
+        return PairGrid(self.xcuts, self.ycuts, self.mask ^ ((1 << len(self.xcuts) * len(self.ycuts)) - 1))
+
     def is_finite(self) -> bool:
         """No true cell in the last x group or the last y stripe."""
         ny = len(self.ycuts)

@@ -117,13 +117,10 @@ def on_node(fn):
 
     @wraps(fn)
     def keyed(t, *key):
-        memos = t.__dict__.get(slot)
-        if memos is None:
-            memos = t.__dict__[slot] = {}
         try:
-            return memos[key]
+            return t.__dict__[slot][key]
         except KeyError:
-            value = memos[key] = fn(t, *key)
+            value = t.__dict__.setdefault(slot, {})[key] = fn(t, *key)
             return value
 
     return keyed
@@ -488,6 +485,18 @@ def _pair_mask(t: SetTerm, cells: Cells, memo: dict) -> int:
     return m
 
 
+def value(t: SetTerm):
+    """t's normal form: nat_value on NAT, pair_grid on NATPAIR."""
+    return nat_value(t) if t.universe is Universe.NAT else pair_grid(t)
+
+
+def subset(a: SetTerm, b: SetTerm) -> bool:
+    """a <= b, decided on the normal forms; no node is built on NAT."""
+    if a.universe is Universe.NAT:
+        return nat_value(a).issubset(nat_value(b))
+    return pair_grid(diff(a, b)).is_empty()
+
+
 # -- classification -----------------------------------------------------
 
 _ELEMENT_LIST_CAP = 10_000
@@ -508,8 +517,10 @@ class ClassifyResult:
 
 @on_node
 def classify(t: SetTerm) -> ClassifyResult:
-    """Exact classification of the term's denotation."""
-    v = nat_value(t) if t.universe is Universe.NAT else pair_grid(t)
+    """Exact classification of the term's denotation, which counts and
+    lists members: for callers that report them.  A yes/no question of
+    emptiness or finiteness reads value(t) instead, inclusion subset."""
+    v = value(t)
     if not v.is_finite():
         return ClassifyResult("infinite")
     n = v.card()

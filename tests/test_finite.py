@@ -175,6 +175,32 @@ def test_brute_ihj_frozen():
     assert not found2
 
 
+def _literal_first_region(words, i, j):
+    """Regions ascending: the first whose complement lies in i and whose
+    word holds j."""
+    n, full = i.n, (1 << i.n) - 1
+    for m in range(full + 1):
+        if not (full & ~m) & ~i.gen and words >> (m << n | j.gen) & 1:
+            return True, m
+    return False, None
+
+
+def test_first_region_matches_the_ascending_loop():
+    # every pattern of the 2^n bits a generator pair reads, over three
+    # fillings of the bits it does not read
+    for n in (1, 2, 3):
+        size, ideals = 1 << (2 * n), ic.enumerate_ideals(n)
+        fillers = (0, (1 << size) - 1, int("01" * (size // 2), 2))
+        for i in ideals:
+            for j in ideals:
+                read = [m << n | j.gen for m in range(1 << n)]
+                for pattern in range(1 << (1 << n)):
+                    bits = sum((pattern >> m & 1) << b for m, b in enumerate(read))
+                    for fill in fillers:
+                        words = fill & ~sum(1 << b for b in read) | bits
+                        assert finite._first_region(words, i, j) == _literal_first_region(words, i, j)
+
+
 def test_brute_metric_routes_agree():
     values = (Fr(0), Fr(1), Fr(0), Fr(1, 2))
     for i in ic.enumerate_ideals(4):

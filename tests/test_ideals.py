@@ -301,6 +301,49 @@ def test_prefix_unions_frozen():
     ) is Tri.TRUE
 
 
+@pytest.mark.parametrize("modulus", [8, 16])
+def test_prefix_unions_of_residues_against_the_ruler(modulus):
+    # the modulus blocks together are the universe, so the ruler ideal,
+    # which is proper, cannot hold every prefix: the class of 0 alone
+    # meets every ruler block from v2(modulus) + 1 on
+    p, i = ic.residues(modulus), ic.partition_ideal(ic.RULER)
+    assert ic.prefix_unions_in_ideal(i, p) is Tri.FALSE
+    bound = modulus << 6
+    assert ic.truncate(ic.union(*[ic.block(p, k) for k in range(1, modulus + 1)]), bound) == list(
+        range(1, bound + 1)
+    )
+    met = {ic.block_of(ic.RULER, e) for e in ic.truncate(ic.block(p, modulus), bound)}
+    assert met == set(range(modulus.bit_length(), modulus.bit_length() + 7))
+    assert not ic.in_ideal(i, ic.block(p, modulus))
+
+
+def test_prefix_unions_of_few_residue_blocks():
+    # fewer blocks than the four probes: the answer asks for no block
+    # past the modulus
+    for m in (1, 2, 3):
+        assert ic.prefix_unions_in_ideal(ic.improper(NAT), ic.residues(m)) is Tri.TRUE
+        assert ic.prefix_unions_in_ideal(ic.fin(NAT), ic.residues(m)) is Tri.FALSE
+
+
+# membership in fin and principal ideals against truncation: the drawn
+# NAT terms are periodic from 31 on with period dividing 16, and the pair
+# terms constant beyond 11 in each coordinate, so a box of 48 (NAT) or 16
+# (pairs) holds a member of every nonempty one, and an infinite one has
+# members between that box and one twice its size
+_BOX = {NAT: 48, PAIR: 16}
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([NAT, PAIR]), st.data())
+def test_fin_and_principal_membership_match_truncation(u, data):
+    terms = nat_terms if u is NAT else pair_terms
+    t, g = data.draw(terms), data.draw(terms)
+    box = _BOX[u]
+    inside = ic.truncate(t, box)
+    assert ic.in_ideal(ic.principal(g), t) is all(ic.member(g, e) for e in inside)
+    assert ic.in_ideal(ic.fin(u), t) is (len(ic.truncate(t, 2 * box)) == len(inside))
+
+
 @settings(max_examples=120)
 @given(st.sampled_from([ic.COLUMNS, ic.CORNER, ic.RULER]), st.data())
 def test_prefix_unions_probe_consistent(p, data):

@@ -195,6 +195,28 @@ def test_normal_form_matches_reference_at_magnitude(t):
     _check_against_reference(t, (3, 7))
 
 
+@settings(max_examples=200)
+@given(st.recursive(small_atoms, _ops, max_leaves=4), st.recursive(small_atoms, _ops, max_leaves=4))
+def test_issubset_is_an_empty_difference(a, b):
+    va, vb = ic.nat_value(a), ic.nat_value(b)
+    assert va.issubset(vb) is va.diff(vb).is_empty()
+    if va.issubset(vb):
+        assert all(vb.contains(n) for n in range(1, 200) if va.contains(n))
+
+
+def test_issubset_keeps_the_mask_budget():
+    # lcm(2**20, 97) and a 2**25 threshold are past the budget on both routes
+    for a, b in [(ic.block(ic.residues(2**20), 3), ic.block(ic.residues(97), 1)),
+                 (ic.tail(2**25), ic.tail(3))]:
+        va, vb = ic.nat_value(a), ic.nat_value(b)
+        with pytest.raises(ic.SizeTooLarge):
+            va.issubset(vb)
+        with pytest.raises(ic.SizeTooLarge):
+            va.diff(vb)
+        with pytest.raises(ic.SizeTooLarge):
+            ic.in_ideal(ic.principal(b), a)
+
+
 def test_normal_form_fixed_cases():
     # period 6 pattern {1, 3, 5} reduces to the odd class mod 2
     t = ic.union(ic.block(ic.residues(6), 1), ic.block(ic.residues(6), 3),
